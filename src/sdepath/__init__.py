@@ -7,9 +7,9 @@ oracles for cross-checking.
 """
 
 from .model import (TimeGrid, DiscretePath, Diffusion, InitialDensity,
-                    DriftModel, Measurement, GridError, ValidationReport,
-                    builtin_model, gaussian_measurement, make_uniform_grid,
-                    refine_grid, validate_model)
+                    DriftModel, Measurements, GridError, ValidationReport,
+                    builtin_model, make_uniform_grid, refine_grid,
+                    validate_model)
 from .functionals import (MeritValue, MeshTooCoarseError, QuadratureRule,
                           benes_exact_merit, continuous_energy, continuous_om,
                           energy_merit, euler_energy, euler_merit, map_merit,
@@ -20,8 +20,7 @@ from .optimizer import (ColdStartCheck, ConvergenceStudy, OptimizationResult,
                         sup_distance)
 from .simulate import (MeasurementSample, RngStream, SimulationError,
                        euler_maruyama, order15_step, polar_normal,
-                       sample_measurements, strong_order_15,
-                       student_t_loglik, student_t_measurement, wiener_pair)
+                       sample_measurements, strong_order_15, wiener_pair)
 from .cli import (ConfigError, ExperimentConfig, IseRecord,
                   MeasurementProtocol, compute_ise, load_config)
 

@@ -41,14 +41,12 @@ import numpy as np
 from . import oracle
 from .functionals import (euler_energy, euler_merit, trapezoidal_om,
                           trapezoidal_merit)
-from .model import (builtin_model, gaussian_measurement, make_uniform_grid,
-                    validate_model, DiscretePath, GridError)
+from .model import (builtin_model, make_uniform_grid, validate_model,
+                    DiscretePath, GridError, InitialDensity, Measurements)
 from .optimizer import (convergence_study, initial_path, maximize,
-                        sup_distance, MERIT_KINDS, OptimizerOptions,
-                        StudyProblem)
-from .simulate import (euler_maruyama, polar_normal, sample_measurements,
-                       strong_order_15, student_t_loglik,
-                       student_t_measurement, RngStream, SimulationError)
+                        MERIT_KINDS, OptimizerOptions, StudyProblem)
+from .simulate import (euler_maruyama, sample_measurements, strong_order_15,
+                       RngStream, SimulationError)
 
 log = logging.getLogger("sdepath")
 
@@ -359,7 +357,7 @@ def _validate_config(experiment: str, cfg: dict,
             sigma_y=_positive(proto, "sigma_y", "sigma_y"),
             sigma_outlier=_positive(proto, "sigma_outlier", "sigma_outlier"),
             p_outlier=p_out,
-            component=int(proto.get("component", 0)))
+            component=proto.get("component", 0))
 
     if "replicates" in cfg:
         reps = cfg["replicates"]
@@ -393,9 +391,16 @@ def _validate_config(experiment: str, cfg: dict,
     config = ExperimentConfig(**kwargs)
     if config.model_name:
         try:
-            builtin_model(config.model_name, **config.model_params)
+            drift, _, _ = builtin_model(config.model_name,
+                                        **config.model_params)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("bad model section: %s" % exc)
+        comp = None if config.protocol is None else config.protocol.component
+        if comp is not None and (type(comp) is not int
+                                 or not 0 <= comp < drift.dim):
+            raise ConfigError("protocol component must be an integer in "
+                              "[0, %d) for model %r, got %r"
+                              % (drift.dim, config.model_name, comp))
     return config
 
 
@@ -419,10 +424,6 @@ def compute_ise(times: np.ndarray, states: np.ndarray,
     return float(np.trapezoid((err * err).sum(axis=1), times))
 
 
-def _prior_draw(rng: np.random.Generator, dim: int, init_var: float):
-    return math.sqrt(init_var) * polar_normal(rng, dim)
-
-
 # ---------------------------------------------------------------------------
 # benes-convergence
 
@@ -431,9 +432,8 @@ def run_benes_convergence(config: ExperimentConfig, threads: int = 1) -> int:
     drift, diffusion, init = builtin_model(config.model_name,
                                            **config.model_params)
     meas = config.measurement
-    measurements = (gaussian_measurement(meas["time"], meas["value"],
-                                         meas["variance"], component=0,
-                                         dim=drift.dim),)
+    measurements = Measurements([meas["time"]], [meas["value"]], "gaussian",
+                                meas["variance"])
     problem = StudyProblem(drift=drift, diffusion=diffusion, init=init,
                            measurements=measurements,
                            horizon=config.horizon)
@@ -489,17 +489,13 @@ def _vdp_replicate(config: ExperimentConfig, replicate: int):
                                            **config.model_params)
     proto = config.protocol
     rng = RngStream(config.seed, replicate).generator()
-    init_var = float(config.model_params.get("init_var", 0.01))
-    x0 = _prior_draw(rng, drift.dim, init_var)
-    times, states = strong_order_15(drift, diffusion, x0, config.sim_step,
-                                    config.horizon, rng)
+    times, states = strong_order_15(drift, diffusion, init.sample(rng),
+                                    config.sim_step, config.horizon, rng)
     sample = sample_measurements(times, states, proto.step, proto.sigma_y,
                                  proto.sigma_outlier, proto.p_outlier, rng,
                                  component=proto.component)
-    records = tuple(student_t_measurement(t, y, proto.sigma_y,
-                                          component=proto.component,
-                                          dim=drift.dim)
-                    for t, y in zip(sample.times, sample.values))
+    records = Measurements(sample.times, sample.values, "student_t",
+                           proto.sigma_y, proto.component)
     n_segments = int(round(config.horizon / config.est_step))
     grid = make_uniform_grid(config.horizon, n_segments,
                              meas_times=sample.times)
@@ -588,12 +584,9 @@ def run_simulate(config: ExperimentConfig) -> int:
     drift, diffusion, init = builtin_model(config.model_name,
                                            **config.model_params)
     rng = RngStream(config.seed, 0).generator()
-    init_var = float(config.model_params.get("init_var", {
-        "benes": 0.16, "vdp": 0.01, "ou": 1.0}[config.model_name]))
-    x0 = _prior_draw(rng, drift.dim, init_var)
     stepper = strong_order_15 if config.scheme == "order15" else euler_maruyama
-    times, states = stepper(drift, diffusion, x0, config.sim_step,
-                            config.horizon, rng)
+    times, states = stepper(drift, diffusion, init.sample(rng),
+                            config.sim_step, config.horizon, rng)
     out = Path(config.output_dir)
     _write_csv(out / "path.csv", ["t"] + ["x%d" % (i + 1)
                                           for i in range(drift.dim)],
@@ -630,6 +623,9 @@ def gradient_suite(n_cases: int = 100, seed: int = 20240501,
                    ("trapezoidal_merit", trapezoidal_merit, True))
     worst = {name: 0.0 for name, _, _ in merit_funcs}
     worst["student_t_loglik"] = 0.0
+    # the Student-t score alone: one record at t=0 under a flat prior
+    unit = make_uniform_grid(1.0, 1)
+    no_prior = InitialDensity(log_nu=lambda z: 0.0, grad_log_nu=np.zeros_like)
     model_names = ("benes", "ou", "vdp")
     for case in range(n_cases):
         name = model_names[case % len(model_names)]
@@ -642,9 +638,8 @@ def gradient_suite(n_cases: int = 100, seed: int = 20240501,
                                        size=(grid.times.size, drift.dim)),
                            axis=0)
         path = DiscretePath(grid=grid, states=states)
-        measurements = (gaussian_measurement(
-            meas_t, float(rng.uniform(-1.5, 1.5)),
-            float(rng.uniform(0.1, 1.0)), component=0, dim=drift.dim),)
+        measurements = Measurements([meas_t], [float(rng.uniform(-1.5, 1.5))],
+                                    "gaussian", float(rng.uniform(0.1, 1.0)))
         for fname, func, with_density in merit_funcs:
             if with_density:
                 value = func(path, drift, diffusion, init, measurements)
@@ -663,12 +658,13 @@ def gradient_suite(n_cases: int = 100, seed: int = 20240501,
             den = max(1.0, np.linalg.norm(fd))
             worst[fname] = max(worst[fname], num / den)
         x = rng.uniform(-2.0, 2.0, size=drift.dim)
-        y = float(rng.uniform(-2.0, 2.0))
-        sigma_y = float(rng.uniform(0.2, 1.0))
-        _, grad = student_t_loglik(y, x, sigma_y)
+        score = Measurements([0.0], [float(rng.uniform(-2.0, 2.0))],
+                             "student_t", float(rng.uniform(0.2, 1.0)))
+        _, grad = score.log_density(DiscretePath(unit, [x, x]), no_prior)
         fd = oracle.fd_gradient(
-            lambda z: student_t_loglik(y, z, sigma_y)[0], x)
-        num = np.linalg.norm(fd - grad)
+            lambda z: score.log_density(DiscretePath(unit, [z, x]),
+                                        no_prior)[0], x)
+        num = np.linalg.norm(fd - grad[0])
         worst["student_t_loglik"] = max(worst["student_t_loglik"],
                                         num / max(1.0, np.linalg.norm(fd)))
     return [(name, err, err <= tolerance) for name, err in worst.items()]
@@ -699,9 +695,8 @@ def linear_gaussian_check(n_segments: int = 256):
     """
     drift, diffusion, init = builtin_model("ou")
     horizon = 2.0
-    measurements = tuple(
-        gaussian_measurement(t, y, LINEAR_CHECK_VAR, component=0, dim=1)
-        for t, y in zip(LINEAR_CHECK_TIMES, LINEAR_CHECK_VALUES))
+    measurements = Measurements(LINEAR_CHECK_TIMES, LINEAR_CHECK_VALUES,
+                                "gaussian", LINEAR_CHECK_VAR)
     grid = make_uniform_grid(horizon, n_segments,
                              meas_times=LINEAR_CHECK_TIMES)
     # the builtin ou drift is -a*x; the smoother spec takes the raw

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import DiscretePath, Diffusion, DriftModel, InitialDensity, Measurement
+from .model import (DiscretePath, Diffusion, DriftModel, InitialDensity,
+                    Measurements)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -81,48 +82,6 @@ def _states(path: DiscretePath) -> np.ndarray:
     return x
 
 
-def _meas_indices(path: DiscretePath, measurements: Sequence[Measurement]) -> np.ndarray:
-    """Grid index of each measurement instant; instants must be grid points."""
-    times = path.grid.times
-    tol = 1e-9 * max(1.0, float(times[-1]))
-    idx = np.empty(len(measurements), dtype=int)
-    for i, m in enumerate(measurements):
-        j = int(np.searchsorted(times, m.t))
-        best = None
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < times.size and abs(times[cand] - m.t) <= tol:
-                best = cand
-                break
-        if best is None:
-            raise ValueError("measurement instant %r does not lie on the grid" % m.t)
-        idx[i] = best
-    return idx
-
-
-def _density_terms(path: DiscretePath, init: InitialDensity,
-                   measurements: Sequence[Measurement]):
-    """Initial-density and measurement log terms, with their sparse gradient.
-
-    Returns (value, grad) where grad has the path's shape, or (-inf, None)
-    when any density vanishes.
-    """
-    x = path.states
-    total = float(init.log_nu(x[0]))
-    if total == -math.inf:
-        return -math.inf, None
-    grad = np.zeros_like(x)
-    grad[0] = np.asarray(init.grad_log_nu(x[0]), dtype=float)
-    if measurements:
-        idx = _meas_indices(path, measurements)
-        for k, m in zip(idx, measurements):
-            ll = float(m.log_lik(m.y, x[k]))
-            if ll == -math.inf:
-                return -math.inf, None
-            total += ll
-            grad[k] += np.asarray(m.grad_log_lik(m.y, x[k]), dtype=float)
-    return total, grad
-
-
 def euler_energy(path: DiscretePath, drift: DriftModel,
                  diffusion: Diffusion) -> MeritValue:
     """Euler-scheme energy of a discrete path.
@@ -148,13 +107,13 @@ def euler_energy(path: DiscretePath, drift: DriftModel,
 
 def euler_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
                 init: InitialDensity,
-                measurements: Sequence[Measurement] = ()) -> MeritValue:
+                measurements: Measurements = Measurements()) -> MeritValue:
     """Euler energy plus initial-density and measurement log-likelihood terms.
 
     The refinement limit of its maximisers is the minimum-energy path.
     """
     base = euler_energy(path, drift, diffusion)
-    extra, egrad = _density_terms(path, init, measurements)
+    extra, egrad = measurements.log_density(path, init)
     if egrad is None:
         return MeritValue(value=-math.inf, gradient=None)
     return MeritValue(value=base.value + extra, gradient=base.gradient + egrad)
@@ -208,13 +167,13 @@ def trapezoidal_om(path: DiscretePath, drift: DriftModel,
 
 def trapezoidal_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
                       init: InitialDensity,
-                      measurements: Sequence[Measurement] = ()) -> MeritValue:
+                      measurements: Measurements = Measurements()) -> MeritValue:
     """Trapezoidal Onsager-Machlup value plus density terms.
 
     The refinement limit of its maximisers is the MAP state path.
     """
     value, grad = _trapezoidal_parts(path, drift, diffusion)
-    extra, egrad = _density_terms(path, init, measurements)
+    extra, egrad = measurements.log_density(path, init)
     if egrad is None:
         return MeritValue(value=-math.inf, gradient=None)
     return MeritValue(value=value + extra, gradient=grad + egrad)
@@ -262,22 +221,24 @@ def continuous_om(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
 
 
 def energy_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
-                 init: InitialDensity, measurements: Sequence[Measurement] = (),
+                 init: InitialDensity,
+                 measurements: Measurements = Measurements(),
                  rule: QuadratureRule = _DEFAULT_RULE) -> float:
     """Continuous energy functional plus density terms (extended real)."""
-    extra, egrad = _density_terms(path, init, measurements)
+    extra, egrad = measurements.log_density(path, init)
     if egrad is None:
         return -math.inf
     return continuous_energy(path, drift, diffusion, rule) + extra
 
 
 def map_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
-              init: InitialDensity, measurements: Sequence[Measurement] = (),
+              init: InitialDensity,
+              measurements: Measurements = Measurements(),
               rule: QuadratureRule = _DEFAULT_RULE) -> float:
     """Continuous Onsager-Machlup functional plus density terms (extended real).
 
     This is the merit whose maximiser over paths is the MAP state path."""
-    extra, egrad = _density_terms(path, init, measurements)
+    extra, egrad = measurements.log_density(path, init)
     if egrad is None:
         return -math.inf
     return continuous_om(path, drift, diffusion, rule) + extra
@@ -290,7 +251,7 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
 
 
 def benes_exact_merit(path: DiscretePath, init: InitialDensity,
-                      measurements: Sequence[Measurement] = ()) -> MeritValue:
+                      measurements: Measurements = Measurements()) -> MeritValue:
     """Merit using the exact transition density of the scalar tanh-drift model.
 
     Sums the closed-form transition log-densities over the segments plus the
@@ -315,7 +276,7 @@ def benes_exact_merit(path: DiscretePath, init: InitialDensity,
     grad = np.zeros_like(x)
     grad[:-1, 0] += -th[:-1] + rate
     grad[1:, 0] += th[1:] - rate
-    extra, egrad = _density_terms(path, init, measurements)
+    extra, egrad = measurements.log_density(path, init)
     if egrad is None:
         return MeritValue(value=-math.inf, gradient=None)
     return MeritValue(value=value + extra, gradient=grad + egrad)

@@ -2,14 +2,17 @@
 
 The estimation problems treated by this package are built from four pieces:
 a drift function, a constant diffusion matrix, an initial-state density and
-a collection of measurement records.  Candidate state paths are discrete:
+a bundle of measurement records.  Candidate state paths are discrete:
 a vector of states attached to the points of a time grid, interpreted as
 the piecewise-linear interpolant between those points.
 
 This module defines the containers for all of these, the grid constructors
-(uniform grids, nested refinement), the built-in example models and a
-self-check routine that compares the analytic Jacobian and divergence of a
-drift model against finite differences.
+(uniform grids, nested refinement) with the one lookup that places an
+instant on a grid, the built-in example models and a self-check routine
+that compares the analytic Jacobian and divergence of a drift model against
+finite differences.  Measurements are one array bundle, `Measurements`,
+with two noise laws: additive Gaussian noise and the heavy-tailed Student-t
+score of the robustness experiment.
 """
 
 from __future__ import annotations
@@ -25,9 +28,19 @@ class GridError(ValueError):
     """Raised when a time grid violates a construction requirement."""
 
 
-# Relative tolerance used to decide that a requested measurement instant
-# coincides with an existing grid point.
+# Relative tolerance used to decide that a requested instant coincides with
+# an existing grid point.
 _SNAP_RTOL = 1e-9
+
+
+def _nearest(times: np.ndarray, query: np.ndarray):
+    """Index of the grid time nearest each query instant, and whether it lies
+    within the snap tolerance of that instant."""
+    j = np.clip(np.searchsorted(times, query), 1, times.size - 1)
+    left_closer = query - times[j - 1] <= times[j] - query
+    idx = np.where(left_closer, j - 1, j)
+    tol = _SNAP_RTOL * max(1.0, float(times[-1]))
+    return idx, np.abs(times[idx] - query) <= tol
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,26 @@ class TimeGrid:
                 raise GridError("measurement index out of range")
             if np.any(np.diff(meas) <= 0):
                 raise GridError("measurement indices must be sorted and unique")
+        # query-times bytes -> grid indices; merits ask for the same records
+        # on every evaluation
+        object.__setattr__(self, "_index_memo", {})
+
+    def index_of(self, t) -> np.ndarray:
+        """Grid index of each instant in `t` (read-only integer array).
+
+        Raises GridError when an instant is not a grid point.
+        """
+        t = np.asarray(t, dtype=float)
+        key = t.tobytes()
+        idx = self._index_memo.get(key)
+        if idx is None:
+            idx, on_grid = _nearest(self.times, t.ravel())
+            if not np.all(on_grid):
+                raise GridError("instant %r does not lie on the grid"
+                                % float(t.ravel()[np.argmin(on_grid)]))
+            idx.setflags(write=False)
+            self._index_memo[key] = idx
+        return idx
 
     @property
     def n_segments(self) -> int:
@@ -112,20 +145,19 @@ def make_uniform_grid(horizon: float, n_segments: int,
         raise GridError("horizon must be positive")
     if n_segments < 1:
         raise GridError("need at least one segment")
-    times = list(np.linspace(0.0, horizon, n_segments + 1))
+    times = np.linspace(0.0, horizon, n_segments + 1)
     tol = _SNAP_RTOL * max(1.0, horizon)
-    wanted = sorted(set(float(t) for t in meas_times))
-    for t in wanted:
-        if t < -tol or t > horizon + tol:
-            raise GridError("measurement instant %r outside [0, %r]" % (t, horizon))
-    for t in wanted:
-        j = int(np.argmin(np.abs(np.asarray(times) - t)))
-        if abs(times[j] - t) > tol:
-            times.append(t)
-    times = np.array(sorted(times))
-    meas_index = np.array(
-        [int(np.argmin(np.abs(times - t))) for t in wanted], dtype=int
-    )
+    # Python sorting here: numpy's sort kernels add to the peak memory of
+    # short runs
+    wanted = np.array(sorted(set(float(t) for t in meas_times)))
+    outside = wanted[(wanted < -tol) | (wanted > horizon + tol)]
+    if outside.size:
+        raise GridError("measurement instant %r outside [0, %r]"
+                        % (float(outside[0]), horizon))
+    if wanted.size:
+        _, on_grid = _nearest(times, wanted)
+        times = np.array(sorted(times.tolist() + wanted[~on_grid].tolist()))
+    meas_index, _ = _nearest(times, wanted)
     return TimeGrid(times, meas_index, c3_factor=c3_factor)
 
 
@@ -221,12 +253,14 @@ class InitialDensity:
     """Initial-state density through its log and the gradient of the log.
 
     log_nu may return -inf outside the support; grad_log_nu is only queried
-    where log_nu is finite.  `mode` (when known) seeds initial paths.
+    where log_nu is finite.  `mode` (when known) seeds initial paths, and
+    `sample(rng)` (when known) draws an initial state.
     """
 
     log_nu: Callable[[np.ndarray], float]
     grad_log_nu: Callable[[np.ndarray], np.ndarray]
     mode: Optional[np.ndarray] = None
+    sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialDensity":
@@ -247,44 +281,91 @@ class InitialDensity:
         def grad_log_nu(x, _m=mean, _p=prec):
             return -_p @ (np.asarray(x, dtype=float) - _m)
 
-        return cls(log_nu=log_nu, grad_log_nu=grad_log_nu, mode=mean.copy())
+        chol = np.linalg.cholesky(cov)
+
+        def sample(rng, _m=mean, _l=chol):
+            from .simulate import polar_normal  # simulate imports this module
+            return _m + _l @ polar_normal(rng, _m.size)
+
+        return cls(log_nu=log_nu, grad_log_nu=grad_log_nu, mode=mean.copy(),
+                   sample=sample)
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One measurement record: instant, value and log-likelihood callbacks.
+class Measurements:
+    """Measurement records of one state component under one noise law.
 
-    log_lik(y, x) returns the log of the measurement density at state x
-    (-inf allowed); grad_log_lik(y, x) its gradient in x, full state length.
-    `component` names the state component the measurement observes, used
-    only as an interpolation hint when building initial paths.
+    Record i observes state component `component` at instant times[i] with
+    value values[i]; its residual is r = x[component] - values[i].  Laws:
+
+        "gaussian":  additive Gaussian noise of variance `scale`,
+                     log-likelihood -log(2 pi scale)/2 - r^2 / (2 scale).
+        "student_t": heavy-tailed score, Student-t with 4 degrees of freedom
+                     and scale 2*sigma_y where sigma_y = `scale`, up to its
+                     normalisation constant: -5/2 log(1 + r^2 / (4 sigma_y^2)).
+
+    Records are kept in the given order, and several may share an instant.
+    Every instant must be a point of the grid a path is evaluated on.
     """
 
-    t: float
-    y: float
-    log_lik: Callable[[float, np.ndarray], float]
-    grad_log_lik: Callable[[float, np.ndarray], np.ndarray]
+    times: np.ndarray = ()
+    values: np.ndarray = ()
+    law: str = "gaussian"
+    scale: float = 1.0
     component: int = 0
 
+    def __post_init__(self):
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if times.ndim != 1 or times.shape != values.shape:
+            raise ValueError("measurement times and values must be 1-D "
+                             "arrays of equal length")
+        if self.law not in ("gaussian", "student_t"):
+            raise ValueError("unknown measurement law %r; choose from "
+                             "gaussian, student_t" % (self.law,))
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValueError("measurement scale must be positive, got %r"
+                             % self.scale)
+        if not isinstance(self.component, int) or self.component < 0:
+            raise ValueError("measurement component must be an integer >= 0")
+        times.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
 
-def gaussian_measurement(t: float, y: float, var: float,
-                         component: int = 0, dim: int = 1) -> Measurement:
-    """Measurement of one state component with additive Gaussian noise."""
-    if var <= 0.0:
-        raise ValueError("measurement variance must be positive")
-    c = -0.5 * math.log(2.0 * math.pi * var)
+    def log_density(self, path: DiscretePath, init: InitialDensity):
+        """Initial-density plus measurement log terms, with their gradient.
 
-    def log_lik(yv, x, _c=c, _v=var, _j=component):
-        r = float(x[_j]) - yv
-        return _c - 0.5 * r * r / _v
-
-    def grad_log_lik(yv, x, _v=var, _j=component, _n=dim):
-        g = np.zeros(_n)
-        g[_j] = -(float(x[_j]) - yv) / _v
-        return g
-
-    return Measurement(t=float(t), y=float(y), log_lik=log_lik,
-                       grad_log_lik=grad_log_lik, component=component)
+        The value is log_nu(x_0) followed by each record's log-likelihood,
+        summed in record order.  Returns (value, gradient of the path's
+        shape), or (-inf, None) when a density vanishes.
+        """
+        x = path.states
+        total = float(init.log_nu(x[0]))
+        if total == -math.inf:
+            return -math.inf, None
+        grad = np.zeros_like(x)
+        grad[0] = np.asarray(init.grad_log_nu(x[0]), dtype=float)
+        c = self.component
+        idx = path.grid.index_of(self.times)
+        r = x[idx, c] - self.values
+        if self.law == "gaussian":
+            terms = (-0.5 * math.log(2.0 * math.pi * self.scale)
+                     - 0.5 * r * r / self.scale).tolist()
+            score = -r / self.scale
+        else:
+            s4 = 4.0 * self.scale * self.scale
+            # scalar log1p: numpy's vectorised one differs in the last bit
+            # on some inputs, and results must not depend on the build
+            terms = [-2.5 * math.log1p(z) for z in (r * r / s4).tolist()]
+            score = -5.0 * r / (s4 + r * r)
+        for term in terms:
+            total += term
+        if total == -math.inf:
+            return -math.inf, None
+        # unbuffered, so records sharing an instant all count
+        np.add.at(grad[:, c], idx, score)
+        return total, grad
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from . import functionals
 from .functionals import MeritValue, MeshTooCoarseError
 from .model import (DiscretePath, Diffusion, DriftModel, InitialDensity,
-                    Measurement, TimeGrid, make_uniform_grid)
+                    Measurements, TimeGrid, make_uniform_grid)
 
 Objective = Callable[[DiscretePath], MeritValue]
 
@@ -161,17 +161,17 @@ def _two_loop(g: np.ndarray, mem_s, mem_y) -> np.ndarray:
 
 
 def initial_path(grid: TimeGrid, init: InitialDensity,
-                 measurements: Sequence[Measurement] = (),
+                 measurements: Measurements = Measurements(),
                  strategy: str = "meas_interp", dim: int = 1) -> DiscretePath:
     """Build a starting path on a grid.
 
     Strategies:
         "zero": all states zero.
         "prior_mean": constant path at the mode of the initial density.
-        "meas_interp": per component, piecewise-linear through the
-            measurement values observing it, anchored at the initial-density
-            mode at t=0 when no measurement sits there, constant beyond the
-            last anchor.  Unobserved components fall back to the mode.
+        "meas_interp": the observed component piecewise-linear through the
+            measurement values, anchored at the initial-density mode at t=0
+            when no measurement sits there, constant beyond the last
+            anchor.  Unobserved components stay at the mode.
     """
     n_pts = grid.times.size
     if strategy == "zero":
@@ -189,16 +189,14 @@ def initial_path(grid: TimeGrid, init: InitialDensity,
         raise ValueError("unknown initial-path strategy %r" % strategy)
 
     states = np.tile(mode, (n_pts, 1))
-    tol = 1e-9 * max(1.0, grid.horizon)
-    for j in range(dim):
-        anchors = sorted((float(m.t), float(m.y)) for m in measurements
-                         if m.component == j)
-        if not anchors:
-            continue
-        if anchors[0][0] > tol:
-            anchors.insert(0, (0.0, float(mode[j])))
-        ts = np.array([a[0] for a in anchors])
-        ys = np.array([a[1] for a in anchors])
+    if measurements.times.size:
+        j = measurements.component
+        order = np.lexsort((measurements.values, measurements.times))
+        ts = measurements.times[order]
+        ys = measurements.values[order]
+        if ts[0] > 1e-9 * max(1.0, grid.horizon):
+            ts = np.concatenate([[0.0], ts])
+            ys = np.concatenate([[mode[j]], ys])
         states[:, j] = np.interp(grid.times, ts, ys)
     return DiscretePath(grid, states)
 
@@ -217,12 +215,12 @@ class StudyProblem:
     drift: DriftModel
     diffusion: Diffusion
     init: InitialDensity
-    measurements: tuple
+    measurements: Measurements
     horizon: float
 
     def grid(self, n_segments: int) -> TimeGrid:
         return make_uniform_grid(self.horizon, n_segments,
-                                 meas_times=[m.t for m in self.measurements])
+                                 meas_times=self.measurements.times)
 
     def objective(self, kind: str) -> Objective:
         if kind == "euler":
@@ -266,27 +264,10 @@ class ConvergenceStudy:
     cold_check: Optional[ColdStartCheck]
 
 
-def _common_index(coarse: np.ndarray, fine: np.ndarray, horizon: float) -> np.ndarray:
-    """Index of each coarse grid time inside the fine grid (nested grids)."""
-    tol = 1e-9 * max(1.0, horizon)
-    pos = np.searchsorted(fine, coarse)
-    idx = np.empty(coarse.size, dtype=int)
-    for i, (t, j) in enumerate(zip(coarse, pos)):
-        best = None
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < fine.size and abs(fine[cand] - t) <= tol:
-                best = cand
-                break
-        if best is None:
-            raise ValueError("grids are not nested at t=%r" % t)
-        idx[i] = best
-    return idx
-
-
 def sup_distance(path_a: DiscretePath, path_b: DiscretePath) -> float:
-    """Largest state distance over the common grid points of two paths."""
-    idx_a_in_b = _common_index(path_a.grid.times, path_b.grid.times,
-                               max(path_a.grid.horizon, path_b.grid.horizon))
+    """Largest state distance over the grid points of path_a, each of which
+    must be a grid point of path_b (nested grids)."""
+    idx_a_in_b = path_b.grid.index_of(path_a.grid.times)
     diff = path_a.states - path_b.states[idx_a_in_b]
     return float(np.sqrt((diff * diff).sum(axis=1)).max())
 

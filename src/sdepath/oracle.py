@@ -241,12 +241,9 @@ def rts_smoother(spec: LinearGaussianSpec, grid: TimeGrid,
     n = a.shape[0]
     times = grid.times
     n_pts = times.size
-    tol = 1e-9 * max(1.0, float(times[-1]))
     by_index: dict[int, list] = {}
-    for (t, y, c, r) in measurements:
-        j = int(np.argmin(np.abs(times - t)))
-        if abs(times[j] - t) > tol:
-            raise ValueError("measurement instant %r not on the grid" % t)
+    indices = grid.index_of([t for t, _, _, _ in measurements])
+    for j, (_, y, c, r) in zip(indices.tolist(), measurements):
         by_index.setdefault(j, []).append(
             (float(y), np.atleast_1d(np.asarray(c, dtype=float)), float(r)))
 

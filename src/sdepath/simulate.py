@@ -8,9 +8,9 @@ them with the exact joint covariance
 
 Measurement generation follows the contaminated-Gaussian scheme used by the
 robustness experiment: each sample is Gaussian around the observed state
-component, with probability p_outlier of a larger standard deviation, and
-estimation may score such data with a heavy-tailed Student-t (4 degrees of
-freedom) log-likelihood instead of the nominal Gaussian one.
+component, with probability p_outlier of a larger standard deviation.
+Estimation scores such data with the heavy-tailed "student_t" law of
+`model.Measurements` instead of the nominal Gaussian one.
 
 Randomness comes from numpy bit generators; `RngStream` derives independent,
 reproducible generators from a master seed and a stream index.  All normal
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Diffusion, DriftModel, Measurement
+from .model import Diffusion, DriftModel
 
 
 class SimulationError(RuntimeError):
@@ -199,31 +199,3 @@ def sample_measurements(times: np.ndarray, states: np.ndarray,
     values = u + sd * polar_normal(rng, n_meas)
     return MeasurementSample(times=mt, values=values, outlier=flags,
                              component=component)
-
-
-def student_t_loglik(y: float, x: np.ndarray, sigma_y: float,
-                     component: int = 0):
-    """Heavy-tailed measurement score, Student-t with 4 degrees of freedom
-    and scale 2*sigma_y, up to its normalisation constant.
-
-    Returns (log-likelihood, gradient in x)."""
-    r = float(x[component]) - y
-    s4 = 4.0 * sigma_y * sigma_y
-    value = -2.5 * math.log1p(r * r / s4)
-    grad = np.zeros(np.asarray(x).size)
-    grad[component] = -5.0 * r / (s4 + r * r)
-    return value, grad
-
-
-def student_t_measurement(t: float, y: float, sigma_y: float,
-                          component: int = 0, dim: int = 1) -> Measurement:
-    """Measurement record scoring one component with `student_t_loglik`."""
-
-    def log_lik(yv, x, _s=sigma_y, _j=component):
-        return student_t_loglik(yv, x, _s, _j)[0]
-
-    def grad_log_lik(yv, x, _s=sigma_y, _j=component):
-        return student_t_loglik(yv, x, _s, _j)[1]
-
-    return Measurement(t=float(t), y=float(y), log_lik=log_lik,
-                       grad_log_lik=grad_log_lik, component=component)

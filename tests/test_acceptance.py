@@ -26,8 +26,8 @@ from sdepath.functionals import (
 )
 from sdepath.model import (
     DiscretePath,
+    Measurements,
     builtin_model,
-    gaussian_measurement,
     make_uniform_grid,
 )
 from sdepath.simulate import RngStream, wiener_pair
@@ -141,7 +141,7 @@ def test_criterion_4_discrete_merits_approach_continuous_limits():
     # merits must approach the quadrature values of the continuous ones
     t0 = time.perf_counter()
     drift, diffusion, init = builtin_model("benes")
-    measurements = (gaussian_measurement(5.0, 1.5, 0.16, component=0, dim=1),)
+    measurements = Measurements([5.0], [1.5], "gaussian", 0.16)
 
     def restriction(n_segments):
         grid = make_uniform_grid(5.0, n_segments, meas_times=(5.0,))

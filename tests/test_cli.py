@@ -15,6 +15,7 @@ from sdepath.cli import (
 )
 from sdepath.model import DiscretePath, make_uniform_grid
 from sdepath.optimizer import OptimizerOptions
+from sdepath.simulate import RngStream, polar_normal
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -350,6 +351,24 @@ class TestVdpRobustCommand:
         for kind in ("euler", "trapezoidal"):
             assert summary["kinds"][kind]["median"] <= 0.05
 
+    def test_initial_state_drawn_from_the_model_prior(self, tmp_path,
+                                                      monkeypatch):
+        # the ou prior has variance 1.0; the draw must use it, not the vdp
+        # default of 0.01
+        starts = []
+        real = cli.strong_order_15
+
+        def spy(drift, diffusion, x0, *args):
+            starts.append(np.array(x0))
+            return real(drift, diffusion, x0, *args)
+
+        monkeypatch.setattr(cli, "strong_order_15", spy)
+        cfg = self.tiny_config(tmp_path, model={"name": "ou", "params": {}})
+        assert cli.main(["vdp-robust", "--config", cfg, "--seed", "7",
+                         "--out", str(tmp_path / "out")]) == 0
+        expected = polar_normal(RngStream(7, 0).generator(), 1)
+        np.testing.assert_array_equal(starts, [expected])
+
     def test_all_replicates_failing_is_runtime_error(self, tmp_path):
         # simulation step does not divide the horizon: every replicate
         # raises, nothing can be summarised
@@ -368,6 +387,23 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 2
         assert cli.main(["simulate", "--config", "/missing.json",
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("component", [5, -1, 2, 0.5, True])
+    def test_protocol_component_outside_model_exits_2(self, tmp_path, capsys,
+                                                      component):
+        protocol = {"step": 0.1, "sigma_y": 0.1, "sigma_outlier": 1.0,
+                    "p_outlier": 0.5, "component": component}
+        cfg = write_config(tmp_path, {"model": {"name": "vdp", "params": {}},
+                                      "horizon": 1.0, "sim_step": 1e-2,
+                                      "protocol": protocol})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        vdp_cfg = write_config(tmp_path, {"protocol": protocol},
+                               name="vdp.json")
+        with pytest.raises(ConfigError, match="component"):
+            load_config("vdp-robust", vdp_cfg)
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

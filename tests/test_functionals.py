@@ -10,9 +10,10 @@ from sdepath.model import (
     DiscretePath,
     Diffusion,
     DriftModel,
+    GridError,
     InitialDensity,
+    Measurements,
     builtin_model,
-    gaussian_measurement,
     make_uniform_grid,
 )
 from sdepath.optimizer import (
@@ -127,16 +128,26 @@ class TestEulerMerit:
         grid = make_uniform_grid(1.0, 2, meas_times=[1.0])
         path = DiscretePath(grid, np.zeros(3))
         init = InitialDensity.gaussian([0.0], [[1.0]])
-        meas = [gaussian_measurement(1.0, 0.0, 1.0)]
+        meas = Measurements([1.0], [0.0], "gaussian", 1.0)
         mv = fn.euler_merit(path, zero_drift(), unit_diffusion(), init, meas)
         assert mv.value == pytest.approx(-LOG_2PI, abs=1e-14)
+
+    def test_off_grid_measurement_raises(self):
+        path = DiscretePath(make_uniform_grid(1.0, 2), np.zeros(3))
+        init = InitialDensity.gaussian([0.0], [[1.0]])
+        meas = Measurements([0.3], [0.0], "student_t", 0.5)
+        for merit in (fn.euler_merit, fn.trapezoidal_merit):
+            with pytest.raises(GridError):
+                merit(path, zero_drift(), unit_diffusion(), init, meas)
+        with pytest.raises(GridError):
+            fn.benes_exact_merit(path, init, meas)
 
     def test_maximizer_value_matches_plain_resummation(self):
         # Scalar tanh-drift smoothing problem on a coarse grid; the merit
         # reported from the optimized path must agree with a from-scratch
         # summation written without any shared code.
         drift, diffusion, init = builtin_model("benes")
-        meas = (gaussian_measurement(5.0, 1.5, 0.16),)
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
         grid = prob.grid(4)
         res = maximize(prob.objective("euler"),
@@ -213,7 +224,7 @@ class TestTrapezoidalMerit:
         # drop, and the left-endpoint and averaged drifts coincide.
         drift = constant_drift([0.7])
         init = InitialDensity.gaussian([0.0], [[2.0]])
-        meas = [gaussian_measurement(0.75, 0.3, 0.5)]
+        meas = Measurements([0.75], [0.3], "gaussian", 0.5)
         grid = make_uniform_grid(1.0, 8, meas_times=[0.75])
         for seed in range(3):
             path = random_path(grid, 1, seed=seed)
@@ -234,7 +245,7 @@ class TestTrapezoidalMerit:
 @pytest.fixture(scope="module")
 def maximizers():
     drift, diffusion, init = builtin_model("benes")
-    meas = (gaussian_measurement(5.0, 1.5, 0.16),)
+    meas = Measurements([5.0], [1.5], "gaussian", 0.16)
     prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
     grid = prob.grid(64)
     start = initial_path(grid, init, meas)
@@ -329,7 +340,7 @@ class TestContinuousOm:
 class TestContinuousMerits:
     def test_difference_reduces_to_divergence_integral(self):
         drift, diffusion, init = builtin_model("benes")
-        meas = [gaussian_measurement(5.0, 1.5, 0.16)]
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         grid = make_uniform_grid(5.0, 32, meas_times=[5.0])
         for seed in range(3):
             path = random_path(grid, 1, seed=seed)
@@ -366,7 +377,7 @@ class TestExactTransitionMerit:
 
     def test_gradient_matches_finite_differences(self):
         drift, diffusion, init = builtin_model("benes")
-        meas = [gaussian_measurement(2.0, 1.0, 0.16)]
+        meas = Measurements([2.0], [1.0], "gaussian", 0.16)
         grid = make_uniform_grid(2.0, 5, meas_times=[2.0])
         path = random_path(grid, 1, seed=9)
 
@@ -393,8 +404,7 @@ class TestArgmaxAgreementUnderConstantDivergence:
         drift, diffusion, init = builtin_model("ou")
         times = (0.4, 0.8, 1.2, 1.6, 2.0)
         values = (-0.908, 0.577, 1.062, 0.405, 1.362)
-        meas = tuple(gaussian_measurement(t, y, 0.25)
-                     for t, y in zip(times, values))
+        meas = Measurements(times, values, "gaussian", 0.25)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=2.0)
         opts = OptimizerOptions(grad_tol=1e-7, max_iter=6000)
         sups = {}

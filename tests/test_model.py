@@ -11,9 +11,9 @@ from sdepath.model import (
     DriftModel,
     GridError,
     InitialDensity,
+    Measurements,
     TimeGrid,
     builtin_model,
-    gaussian_measurement,
     make_uniform_grid,
     refine_grid,
     validate_model,
@@ -68,6 +68,33 @@ class TestUniformGrid:
     def test_decreasing_times_rejected(self):
         with pytest.raises(GridError):
             TimeGrid(np.array([0.0, 0.5, 0.4, 1.0]))
+
+
+class TestIndexOf:
+    def test_matches_nearest_point_search(self):
+        grid = make_uniform_grid(16.0, 1600, meas_times=np.arange(161) * 0.1)
+        query = np.arange(161) * 0.1
+        expected = [int(np.argmin(np.abs(grid.times - t))) for t in query]
+        np.testing.assert_array_equal(grid.index_of(query), expected)
+        np.testing.assert_array_equal(grid.index_of(query), grid.meas_index)
+
+    def test_snaps_within_tolerance_and_repeats(self):
+        grid = make_uniform_grid(1.0, 4)
+        np.testing.assert_array_equal(
+            grid.index_of([0.5 + 1e-12, 0.0, 1.0 - 1e-12, 0.5]), [2, 0, 4, 2])
+
+    def test_off_grid_instant_raises(self):
+        grid = make_uniform_grid(1.0, 4)
+        for bad in ([0.3], [0.25, 0.3], [1.5], [-0.1]):
+            with pytest.raises(GridError, match="does not lie on the grid"):
+                grid.index_of(bad)
+
+    def test_result_is_reused_and_read_only(self):
+        grid = make_uniform_grid(1.0, 4)
+        idx = grid.index_of([0.25, 0.75])
+        assert grid.index_of(np.array([0.25, 0.75])) is idx
+        with pytest.raises(ValueError):
+            idx[0] = 3
 
 
 class TestRefineGrid:
@@ -235,18 +262,135 @@ class TestDensitiesAndMeasurements:
         np.testing.assert_allclose(init.grad_log_nu(np.array([3.0])), [-0.5])
         np.testing.assert_allclose(init.mode, [1.0])
 
+    def test_gaussian_initial_density_sample(self):
+        init = InitialDensity.gaussian([1.0, -2.0], [[4.0, 1.0], [1.0, 0.5]])
+        rng = np.random.default_rng(3)
+        draws = np.array([init.sample(rng) for _ in range(20000)])
+        np.testing.assert_allclose(draws.mean(axis=0), [1.0, -2.0], atol=0.05)
+        np.testing.assert_allclose(np.cov(draws.T), [[4.0, 1.0], [1.0, 0.5]],
+                                   rtol=0.05, atol=0.02)
+
     def test_gaussian_measurement_scalar(self):
-        m = gaussian_measurement(t=2.0, y=1.0, var=0.25)
-        x = np.array([1.0])
-        assert m.t == 2.0
-        assert m.log_lik(m.y, x) == pytest.approx(-0.5 * math.log(2.0 * math.pi * 0.25))
-        np.testing.assert_allclose(m.grad_log_lik(m.y, np.array([1.5])), [-2.0])
+        # record at t=2 on a flat-prior path: known value and slope
+        m = Measurements([2.0], [1.0], "gaussian", 0.25)
+        assert m.times.tolist() == [2.0] and m.values.tolist() == [1.0]
+        value, _ = m.log_density(at_end([1.0], 2.0), flat_prior())
+        assert value == pytest.approx(-0.5 * math.log(2.0 * math.pi * 0.25))
+        _, grad = m.log_density(at_end([1.5], 2.0), flat_prior())
+        np.testing.assert_allclose(grad[-1], [-2.0])
 
     def test_gaussian_measurement_picks_component(self):
-        m = gaussian_measurement(t=0.0, y=0.0, var=1.0, component=1, dim=2)
-        g = m.grad_log_lik(0.0, np.array([5.0, 1.0]))
-        np.testing.assert_allclose(g, [0.0, -1.0])
+        m = Measurements([1.0], [0.0], "gaussian", 1.0, component=1)
+        _, grad = m.log_density(at_end([5.0, 1.0], 1.0), flat_prior(2))
+        np.testing.assert_allclose(grad[-1], [0.0, -1.0])
+        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
     def test_nonpositive_variance_rejected(self):
+        for law in ("gaussian", "student_t"):
+            for scale in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="scale"):
+                    Measurements([0.0], [0.0], law, scale)
+
+
+def flat_prior(dim=1):
+    return InitialDensity(log_nu=lambda x: 0.0,
+                          grad_log_nu=lambda x: np.zeros(dim))
+
+
+def at_end(state, horizon):
+    """Two-point path on [0, horizon] with `state` at both points."""
+    return DiscretePath(make_uniform_grid(horizon, 1), [state, state])
+
+
+def loop_log_density(meas, path, init):
+    """Per-record reference: scalar arithmetic, one record at a time."""
+    x = path.states
+    total = float(init.log_nu(x[0]))
+    grad = np.zeros_like(x)
+    grad[0] = init.grad_log_nu(x[0])
+    c = meas.component
+    for t, y in zip(meas.times.tolist(), meas.values.tolist()):
+        k = int(np.argmin(np.abs(path.grid.times - t)))
+        r = float(x[k, c]) - y
+        if meas.law == "gaussian":
+            v = meas.scale
+            total += -0.5 * math.log(2.0 * math.pi * v) - 0.5 * r * r / v
+            grad[k, c] += -r / v
+        else:
+            s4 = 4.0 * meas.scale * meas.scale
+            total += -2.5 * math.log1p(r * r / s4)
+            grad[k, c] += -5.0 * r / (s4 + r * r)
+    return total, grad
+
+
+class TestMeasurements:
+    # instants 0 (where the prior gradient also lands), a repeated one, and
+    # the horizon; listed out of time order on purpose
+    TIMES = [1.5, 0.0, 0.75, 0.75, 3.0, 0.0]
+
+    def problem(self, law, component, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_uniform_grid(3.0, 12, meas_times=self.TIMES)
+        init = InitialDensity.gaussian([0.1, -0.2], [[0.5, 0.1], [0.1, 0.3]])
+        meas = Measurements(self.TIMES, rng.normal(0.0, 2.0, len(self.TIMES)),
+                            law, float(rng.uniform(0.2, 1.0)), component)
+        path = DiscretePath(grid, rng.normal(0.0, 3.0, (grid.times.size, 2)))
+        return meas, path, init
+
+    @pytest.mark.parametrize("law", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_equals_per_record_loop(self, law, component):
+        for seed in range(20):
+            meas, path, init = self.problem(law, component, seed)
+            value, grad = meas.log_density(path, init)
+            ref_value, ref_grad = loop_log_density(meas, path, init)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("law", ["gaussian", "student_t"])
+    def test_gradient_against_finite_differences(self, law):
+        from sdepath.oracle import fd_gradient
+
+        meas, path, init = self.problem(law, 1, seed=7)
+        _, grad = meas.log_density(path, init)
+        fd = fd_gradient(
+            lambda flat: meas.log_density(
+                DiscretePath(path.grid, flat.reshape(-1, 2)), init)[0],
+            path.states.ravel())
+        np.testing.assert_allclose(grad.ravel(), fd, rtol=1e-6, atol=1e-8)
+
+    def test_no_records_is_the_prior(self):
+        _, path, init = self.problem("gaussian", 0, seed=1)
+        value, grad = Measurements().log_density(path, init)
+        assert value == init.log_nu(path.states[0])
+        np.testing.assert_array_equal(grad[0], init.grad_log_nu(path.states[0]))
+        assert not grad[1:].any()
+
+    def test_vanishing_prior_is_minus_inf(self):
+        box = InitialDensity(log_nu=lambda x: -math.inf,
+                             grad_log_nu=lambda x: np.zeros(2))
+        meas, path, _ = self.problem("student_t", 0, seed=2)
+        assert meas.log_density(path, box) == (-math.inf, None)
+
+    def test_off_grid_instant_raises(self):
+        meas = Measurements([0.3], [0.0])
+        path = DiscretePath(make_uniform_grid(1.0, 4), np.zeros(5))
+        with pytest.raises(GridError):
+            meas.log_density(path, flat_prior())
+
+    def test_bad_construction_rejected(self):
+        with pytest.raises(ValueError, match="law"):
+            Measurements([0.0], [0.0], "cauchy")
+        with pytest.raises(ValueError, match="equal length"):
+            Measurements([0.0, 1.0], [0.0])
+        for bad in (-1, 0.5):
+            with pytest.raises(ValueError, match="component"):
+                Measurements([0.0], [0.0], component=bad)
+
+    def test_arrays_are_read_only_copies(self):
+        times = np.array([0.0, 1.0])
+        meas = Measurements(times, [1.0, 2.0])
+        times[0] = 5.0
+        assert meas.times[0] == 0.0
         with pytest.raises(ValueError):
-            gaussian_measurement(t=0.0, y=0.0, var=0.0)
+            meas.values[0] = 3.0

@@ -10,8 +10,8 @@ from sdepath.functionals import MeritValue, MeshTooCoarseError
 from sdepath.model import (
     DiscretePath,
     InitialDensity,
+    Measurements,
     builtin_model,
-    gaussian_measurement,
     make_uniform_grid,
 )
 from sdepath.optimizer import (
@@ -63,7 +63,7 @@ class TestMaximize:
 
     def test_merit_trace_non_decreasing(self):
         drift, diffusion, init = builtin_model("benes")
-        meas = (gaussian_measurement(5.0, 1.5, 0.16),)
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
         grid = prob.grid(32)
         res = maximize(prob.objective("trapezoidal"),
@@ -118,7 +118,7 @@ class TestMaximize:
 
     def test_deterministic(self):
         drift, diffusion, init = builtin_model("benes")
-        meas = (gaussian_measurement(5.0, 1.5, 0.16),)
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
         grid = prob.grid(64)
         opts = OptimizerOptions(grad_tol=1e-6, max_iter=2000)
@@ -185,7 +185,7 @@ class TestInitialPath:
     def test_meas_interp_single_terminal_measurement(self):
         grid = make_uniform_grid(5.0, 10, meas_times=[5.0])
         init = InitialDensity.gaussian([0.0], [[0.16]])
-        meas = [gaussian_measurement(5.0, 1.5, 0.16)]
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         path = initial_path(grid, init, meas)
         np.testing.assert_allclose(path.states[:, 0], 0.3 * grid.times,
                                    atol=1e-12)
@@ -193,7 +193,7 @@ class TestInitialPath:
     def test_meas_interp_unobserved_component_stays_at_mode(self):
         grid = make_uniform_grid(16.0, 8, meas_times=[8.0])
         init = InitialDensity.gaussian(np.zeros(2), 0.01 * np.eye(2))
-        meas = [gaussian_measurement(8.0, 1.0, 0.25, component=0, dim=2)]
+        meas = Measurements([8.0], [1.0], "gaussian", 0.25)
         path = initial_path(grid, init, meas, dim=2)
         assert np.all(path.states[:, 1] == 0.0)
         assert path.states[-1, 0] != 0.0
@@ -201,7 +201,7 @@ class TestInitialPath:
     def test_constant_beyond_last_anchor(self):
         grid = make_uniform_grid(4.0, 8, meas_times=[2.0])
         init = InitialDensity.gaussian([0.0], [[1.0]])
-        meas = [gaussian_measurement(2.0, 1.0, 0.25)]
+        meas = Measurements([2.0], [1.0], "gaussian", 0.25)
         path = initial_path(grid, init, meas)
         np.testing.assert_allclose(path.states[grid.times >= 2.0, 0], 1.0)
 
@@ -238,8 +238,7 @@ class TestSupDistance:
 class TestConvergenceStudy:
     def make_problem(self):
         drift, diffusion, init = builtin_model("ou")
-        meas = (gaussian_measurement(1.0, 0.9, 0.25),
-                gaussian_measurement(2.0, -0.4, 0.25))
+        meas = Measurements([1.0, 2.0], [0.9, -0.4], "gaussian", 0.25)
         return StudyProblem(drift, diffusion, init, meas, horizon=2.0)
 
     def test_distances_decrease_toward_finest(self):
@@ -299,7 +298,7 @@ class TestMinimumEnergyLimit:
         # removed; refining Euler-merit maximizers must converge to its
         # maximizer, not to the trapezoidal one.
         drift, diffusion, init = builtin_model("benes")
-        meas = (gaussian_measurement(5.0, 1.5, 0.16),)
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
         opts = OptimizerOptions(grad_tol=1e-6, max_iter=5000)
         study = convergence_study(prob, "euler", [64, 256, 1024], opts,

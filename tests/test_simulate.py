@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from sdepath.model import Diffusion, DriftModel, builtin_model
+from sdepath.model import (
+    DiscretePath,
+    Diffusion,
+    DriftModel,
+    InitialDensity,
+    Measurements,
+    builtin_model,
+    make_uniform_grid,
+)
 from sdepath.simulate import (
     RngStream,
     SimulationError,
@@ -14,8 +22,6 @@ from sdepath.simulate import (
     polar_normal,
     sample_measurements,
     strong_order_15,
-    student_t_loglik,
-    student_t_measurement,
     wiener_pair,
 )
 from strong_order_helpers import fitted_slope, self_coupled_rmse
@@ -269,18 +275,32 @@ class TestSampleMeasurements:
                                 RngStream(0).generator())
 
 
+def student_t_score(y, x, sigma_y, component=0):
+    """(value, gradient) of the Student-t law of `Measurements` for one
+    record at t=1 under a flat prior, the state x at both grid points."""
+    x = np.asarray(x, dtype=float)
+    path = DiscretePath(make_uniform_grid(1.0, 1), [x, x])
+    flat = InitialDensity(log_nu=lambda z: 0.0,
+                          grad_log_nu=lambda z: np.zeros(x.size))
+    meas = Measurements([1.0], [y], "student_t", sigma_y, component)
+    value, grad = meas.log_density(path, flat)
+    return value, grad[-1]
+
+
 class TestStudentT:
+    """The heavy-tailed score that the robustness experiment puts on the
+    contaminated samples drawn here."""
+
     def test_known_value_and_gradient(self):
         # residual 1 at sigma_y = 0.5: scale^2 times dof is 1, so the score
         # is -2.5 ln 2 and the slope is -2.5.
-        value, grad = student_t_loglik(0.0, np.array([1.0]), 0.5)
+        value, grad = student_t_score(0.0, [1.0], 0.5)
         assert value == pytest.approx(-2.5 * math.log(2.0), abs=1e-14)
         np.testing.assert_allclose(grad, [-2.5])
 
     def test_bounded_and_unimodal(self):
         xs = np.linspace(-8.0, 8.0, 401)
-        vals = np.array([student_t_loglik(1.0, np.array([x]), 0.5)[0]
-                         for x in xs])
+        vals = np.array([student_t_score(1.0, [x], 0.5)[0] for x in xs])
         assert np.all(vals <= 0.0)
         peak = int(np.argmax(vals))
         assert xs[peak] == pytest.approx(1.0, abs=0.05)
@@ -290,23 +310,23 @@ class TestStudentT:
     def test_heavy_tails_beat_gaussian(self):
         # ten sigma out, the t score must dominate the Gaussian quadratic
         gauss = -0.5 * (10.0) ** 2
-        t_val, _ = student_t_loglik(0.0, np.array([10.0 * 0.5]), 0.5)
+        t_val, _ = student_t_score(0.0, [10.0 * 0.5], 0.5)
         assert t_val > gauss
 
     def test_measurement_record(self):
-        m = student_t_measurement(2.0, 1.0, 0.5, component=0, dim=1)
-        assert m.t == 2.0
-        assert m.y == 1.0
-        assert m.log_lik(m.y, np.array([2.0])) == pytest.approx(
-            -2.5 * math.log(2.0))
-        g = m.grad_log_lik(m.y, np.array([2.0]))
-        np.testing.assert_allclose(g, [-2.5])
+        m = Measurements([2.0], [1.0], "student_t", 0.5, component=1)
+        assert m.times.tolist() == [2.0]
+        assert m.values.tolist() == [1.0]
+        assert (m.law, m.scale, m.component) == ("student_t", 0.5, 1)
+        value, grad = student_t_score(1.0, [7.0, 2.0], 0.5, component=1)
+        assert value == pytest.approx(-2.5 * math.log(2.0))
+        np.testing.assert_allclose(grad, [0.0, -2.5])
 
     def test_gradient_against_finite_differences(self):
         from sdepath.oracle import fd_gradient
 
         for x0 in (-2.0, 0.3, 4.0):
             x = np.array([x0])
-            _, grad = student_t_loglik(0.7, x, 0.5)
-            fd = fd_gradient(lambda v: student_t_loglik(0.7, v, 0.5)[0], x)
+            _, grad = student_t_score(0.7, x, 0.5)
+            fd = fd_gradient(lambda v: student_t_score(0.7, v, 0.5)[0], x)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
