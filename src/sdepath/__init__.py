@@ -1,9 +1,9 @@
 """State-path estimation for diffusion models.
 
 Discrete path merit functions (Euler and trapezoidal families), their
-continuous-time limit functionals, a quasi-Newton path optimiser with
-nested-grid convergence studies, sample-path simulation, and independent
-oracles for cross-checking.
+continuous-time limit functionals, a Gauss-Newton path optimiser on their
+block-tridiagonal curvature with nested-grid convergence studies,
+sample-path simulation, and independent oracles for cross-checking.
 """
 
 from .model import (TimeGrid, DiscretePath, Diffusion, InitialDensity,

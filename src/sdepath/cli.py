@@ -183,7 +183,7 @@ DEFAULT_CONFIGS = {
         "replicates": 50,
         "sim_step": 5e-4,
         "est_step": 1e-2,
-        "optimizer": {"grad_tol": 5e-2, "max_iter": 6000},
+        "optimizer": {"grad_tol": 1e-6, "max_iter": 6000},
         "init_strategy": "meas_interp",
     },
     "simulate": {
@@ -374,7 +374,7 @@ def _validate_config(experiment: str, cfg: dict,
         opts = cfg["optimizer"]
         try:
             kwargs["optimizer"] = OptimizerOptions(
-                **{k: (int(v) if k in ("max_iter", "memory", "max_backtracks")
+                **{k: (int(v) if k in ("max_iter", "max_backtracks")
                        else float(v)) for k, v in opts.items()})
         except TypeError as exc:
             raise ConfigError("bad optimizer options: %s" % exc)
@@ -466,9 +466,12 @@ def run_benes_convergence(config: ExperimentConfig, threads: int = 1) -> int:
         summary["kinds"][kind] = {
             "statuses": [lv.status for lv in study.levels],
             "iterations": [lv.iterations for lv in study.levels],
+            "evaluations": [lv.evaluations for lv in study.levels],
             "runtime_s": elapsed,
             "cold_start": None if cold is None else {
                 "status": cold.status,
+                "iterations": cold.iterations,
+                "evaluations": cold.evaluations,
                 "merit_gap": cold.merit_gap,
                 "sup_distance": cold.sup_distance,
             },
@@ -505,7 +508,7 @@ def _vdp_replicate(config: ExperimentConfig, replicate: int):
                          drift.dim)
     out = {"replicate": replicate, "outliers": int(sample.outlier.sum()),
            "n_meas": int(sample.outlier.size), "records": [],
-           "statuses": {}}
+           "solves": {}}
     # the trapezoidal solve is warm-started from the Euler maximizer; both
     # are reported at their own tolerance
     for kind in ("euler", "trapezoidal"):
@@ -514,7 +517,8 @@ def _vdp_replicate(config: ExperimentConfig, replicate: int):
         elapsed = time.perf_counter() - t0
         ise = compute_ise(times, states, result.path)
         out["records"].append(IseRecord(replicate, kind, ise, elapsed))
-        out["statuses"][kind] = result.status
+        out["solves"][kind] = (result.status, result.iterations,
+                               result.evaluations)
         start = result.path
     return out
 
@@ -562,11 +566,13 @@ def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
         ises = [rec.ise for rep in sorted(results)
                 for rec in results[rep]["records"] if rec.kind == kind]
         p5, p50, p95 = np.percentile(ises, [5.0, 50.0, 95.0])
+        solves = [results[rep]["solves"][kind] for rep in sorted(results)]
         summary["kinds"][kind] = {
             "count": len(ises), "median": float(p50),
             "p5": float(p5), "p95": float(p95),
-            "statuses": sorted({results[rep]["statuses"][kind]
-                                for rep in results}),
+            "statuses": sorted({status for status, _, _ in solves}),
+            "iterations": [its for _, its, _ in solves],
+            "evaluations": [evals for _, _, evals in solves],
         }
         summary["timings_s"][kind] = float(sum(
             rec.runtime for rep in sorted(results)
@@ -660,7 +666,7 @@ def gradient_suite(n_cases: int = 100, seed: int = 20240501,
         x = rng.uniform(-2.0, 2.0, size=drift.dim)
         score = Measurements([0.0], [float(rng.uniform(-2.0, 2.0))],
                              "student_t", float(rng.uniform(0.2, 1.0)))
-        _, grad = score.log_density(DiscretePath(unit, [x, x]), no_prior)
+        _, grad, _ = score.log_density(DiscretePath(unit, [x, x]), no_prior)
         fd = oracle.fd_gradient(
             lambda z: score.log_density(DiscretePath(unit, [z, x]),
                                         no_prior)[0], x)
@@ -760,11 +766,17 @@ atomically):
   benes-convergence:
     paths_{kind}_{N}.csv   t,x            maximizing path per kind and level
     convergence.csv        kind,n_segments,sup_distance,merit
-                           (sup_distance to the finest level; empty there)
-    summary.json           statuses, cold-start check, timings
+                           (sup_distance to the finest level; empty there.
+                           The exact-kind merit includes the per-segment
+                           -log(2 pi delta)/2 constants of its transition
+                           densities, so it grows with N; that is not
+                           divergence)
+    summary.json           statuses, iterations and evaluations per solve,
+                           cold-start check, timings
   vdp-robust:
     ise.csv                replicate,kind,ise
-    summary.json           median/p5/p95 per kind, outlier fraction,
+    summary.json           median/p5/p95 per kind, statuses, iterations
+                           and evaluations per replicate, outlier fraction,
                            failure count, timings
   simulate:
     path.csv               t,x1,...,xn

@@ -16,9 +16,10 @@ The continuous-time limit functionals (`continuous_energy`, `continuous_om`,
 piecewise-linear reading of a discrete path with per-segment Gauss-Legendre
 quadrature.
 
-All discrete merits return a `MeritValue` carrying the value and its exact
-gradient.  Values are extended reals: a vanishing density gives -inf (with no
-gradient), never NaN.
+All discrete merits return a `MeritValue` carrying the value, its exact
+gradient and a block-tridiagonal Gauss-Newton curvature for the path
+optimiser.  Values are extended reals: a vanishing density gives -inf (with
+no gradient), never NaN.
 """
 
 from __future__ import annotations
@@ -44,11 +45,16 @@ class MeritValue:
     """Extended-real merit value with its gradient in the path states.
 
     gradient has the same shape as the path states, (N+1, n); it is None
-    exactly when value is -inf.
+    exactly when value is -inf.  curvature, when given, is the pair
+    (diag, lower) of blocks, shapes (N+1, n, n) and (N, n, n), of a positive
+    semi-definite approximation H of minus the Hessian: diag[k] = H[k, k]
+    and lower[k] = H[k+1, k].  The discrete merits fill it with their
+    Gauss-Newton matrix.
     """
 
     value: float
     gradient: Optional[np.ndarray]
+    curvature: Optional[tuple] = None
 
     @property
     def finite(self) -> bool:
@@ -73,6 +79,31 @@ class QuadratureRule:
 
 
 _DEFAULT_RULE = QuadratureRule.gauss_legendre(3)
+
+
+def _residual_curvature(delta: np.ndarray, q: np.ndarray, left: np.ndarray,
+                        right: np.ndarray):
+    """Blocks of sum_k delta_k A_k^T Q A_k, A_k = [left_k, right_k]: the
+    Gauss-Newton matrix of a residual energy -1/2 sum_k delta_k r_k^T Q r_k
+    whose residual r_k has Jacobian left_k in x_k and right_k in x_{k+1}."""
+    w = delta[:, None, None]
+    q_left = q @ left
+    right_t = np.swapaxes(right, 1, 2)
+    diag = np.zeros((delta.size + 1,) + q.shape)
+    diag[:-1] += w * (np.swapaxes(left, 1, 2) @ q_left)
+    diag[1:] += w * (right_t @ (q @ right))
+    return diag, w * (right_t @ q_left)
+
+
+def _with_density(value: float, grad: np.ndarray, curvature, path: DiscretePath,
+                  init: InitialDensity, measurements: Measurements) -> MeritValue:
+    """Add the initial-density and measurement terms to a path merit."""
+    extra, egrad, ecurv = measurements.log_density(path, init)
+    if egrad is None:
+        return MeritValue(value=-math.inf, gradient=None)
+    diag, lower = curvature
+    return MeritValue(value=value + extra, gradient=grad + egrad,
+                      curvature=(diag + ecurv, lower))
 
 
 def _states(path: DiscretePath) -> np.ndarray:
@@ -102,7 +133,9 @@ def euler_energy(path: DiscretePath, drift: DriftModel,
     grad = np.zeros_like(x)
     grad[:-1] += q_resid + delta[:, None] * np.einsum("kap,ka->kp", jac_left, q_resid)
     grad[1:] -= q_resid
-    return MeritValue(value=value, gradient=grad)
+    eye = np.eye(x.shape[1]) / delta[:, None, None]
+    curvature = _residual_curvature(delta, q, -(eye + jac_left), eye)
+    return MeritValue(value=value, gradient=grad, curvature=curvature)
 
 
 def euler_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
@@ -113,10 +146,8 @@ def euler_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
     The refinement limit of its maximisers is the minimum-energy path.
     """
     base = euler_energy(path, drift, diffusion)
-    extra, egrad = measurements.log_density(path, init)
-    if egrad is None:
-        return MeritValue(value=-math.inf, gradient=None)
-    return MeritValue(value=base.value + extra, gradient=base.gradient + egrad)
+    return _with_density(base.value, base.gradient, base.curvature, path, init,
+                         measurements)
 
 
 def _trapezoidal_parts(path: DiscretePath, drift: DriftModel, diffusion: Diffusion):
@@ -148,7 +179,11 @@ def _trapezoidal_parts(path: DiscretePath, drift: DriftModel, diffusion: Diffusi
         "kap,ka->kp", jac_all[1:], q_resid)
     inv_t = np.transpose(np.linalg.inv(factors), (0, 2, 1))
     grad[1:] += -0.5 * delta[:, None] * drift.jdc_rows(t[1:], x[1:], inv_t)
-    return value, grad
+    # Gauss-Newton: the residual energy only, the log-det Hessian dropped
+    eye = np.eye(n) / delta[:, None, None]
+    curvature = _residual_curvature(delta, q, -(eye + 0.5 * jac_all[:-1]),
+                                    eye - 0.5 * jac_all[1:])
+    return value, grad, curvature
 
 
 def trapezoidal_om(path: DiscretePath, drift: DriftModel,
@@ -161,8 +196,8 @@ def trapezoidal_om(path: DiscretePath, drift: DriftModel,
     factorisation with sign tracking; a non-positive factor raises
     MeshTooCoarseError.
     """
-    value, grad = _trapezoidal_parts(path, drift, diffusion)
-    return MeritValue(value=value, gradient=grad)
+    value, grad, curvature = _trapezoidal_parts(path, drift, diffusion)
+    return MeritValue(value=value, gradient=grad, curvature=curvature)
 
 
 def trapezoidal_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
@@ -172,11 +207,8 @@ def trapezoidal_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusio
 
     The refinement limit of its maximisers is the MAP state path.
     """
-    value, grad = _trapezoidal_parts(path, drift, diffusion)
-    extra, egrad = measurements.log_density(path, init)
-    if egrad is None:
-        return MeritValue(value=-math.inf, gradient=None)
-    return MeritValue(value=value + extra, gradient=grad + egrad)
+    value, grad, curvature = _trapezoidal_parts(path, drift, diffusion)
+    return _with_density(value, grad, curvature, path, init, measurements)
 
 
 def _segment_nodes(path: DiscretePath, rule: QuadratureRule):
@@ -225,7 +257,7 @@ def energy_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
                  measurements: Measurements = Measurements(),
                  rule: QuadratureRule = _DEFAULT_RULE) -> float:
     """Continuous energy functional plus density terms (extended real)."""
-    extra, egrad = measurements.log_density(path, init)
+    extra, egrad, _ = measurements.log_density(path, init)
     if egrad is None:
         return -math.inf
     return continuous_energy(path, drift, diffusion, rule) + extra
@@ -238,7 +270,7 @@ def map_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
     """Continuous Onsager-Machlup functional plus density terms (extended real).
 
     This is the merit whose maximiser over paths is the MAP state path."""
-    extra, egrad = measurements.log_density(path, init)
+    extra, egrad, _ = measurements.log_density(path, init)
     if egrad is None:
         return -math.inf
     return continuous_om(path, drift, diffusion, rule) + extra
@@ -276,7 +308,12 @@ def benes_exact_merit(path: DiscretePath, init: InitialDensity,
     grad = np.zeros_like(x)
     grad[:-1, 0] += -th[:-1] + rate
     grad[1:, 0] += th[1:] - rate
-    extra, egrad = measurements.log_density(path, init)
-    if egrad is None:
-        return MeritValue(value=-math.inf, gradient=None)
-    return MeritValue(value=value + extra, gradient=grad + egrad)
+    # The log-cosh terms telescope to lc(x_N) - lc(x_0): the curvature is
+    # the Brownian 1/delta tridiagonal plus sech^2(x_0) from -lc(x_0); the
+    # convex lc(x_N) has negative curvature and is dropped.
+    diag = np.zeros((xs.size, 1, 1))
+    diag[:-1, 0, 0] += 1.0 / delta
+    diag[1:, 0, 0] += 1.0 / delta
+    diag[0, 0, 0] += 1.0 - th[0] * th[0]
+    lower = (-1.0 / delta)[:, None, None]
+    return _with_density(value, grad, (diag, lower), path, init, measurements)

@@ -253,14 +253,17 @@ class InitialDensity:
     """Initial-state density through its log and the gradient of the log.
 
     log_nu may return -inf outside the support; grad_log_nu is only queried
-    where log_nu is finite.  `mode` (when known) seeds initial paths, and
-    `sample(rng)` (when known) draws an initial state.
+    where log_nu is finite.  `mode` (when known) seeds initial paths,
+    `sample(rng)` (when known) draws an initial state, and `precision`
+    (when known) is minus the Hessian of log_nu, the curvature the path
+    optimiser gives the initial state; without it that curvature is zero.
     """
 
     log_nu: Callable[[np.ndarray], float]
     grad_log_nu: Callable[[np.ndarray], np.ndarray]
     mode: Optional[np.ndarray] = None
     sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    precision: Optional[np.ndarray] = None
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialDensity":
@@ -288,7 +291,7 @@ class InitialDensity:
             return _m + _l @ polar_normal(rng, _m.size)
 
         return cls(log_nu=log_nu, grad_log_nu=grad_log_nu, mode=mean.copy(),
-                   sample=sample)
+                   sample=sample, precision=prec)
 
 
 @dataclass(frozen=True)
@@ -334,18 +337,28 @@ class Measurements:
         object.__setattr__(self, "values", values)
 
     def log_density(self, path: DiscretePath, init: InitialDensity):
-        """Initial-density plus measurement log terms, with their gradient.
+        """Initial-density plus measurement log terms, with their gradient
+        and curvature.
 
         The value is log_nu(x_0) followed by each record's log-likelihood,
-        summed in record order.  Returns (value, gradient of the path's
-        shape), or (-inf, None) when a density vanishes.
+        summed in record order.  The curvature, shape (N+1, n, n), holds
+        one diagonal block per grid point of a positive semi-definite
+        stand-in for minus the Hessian: the prior precision at x_0 (zero
+        when `init` has none) and a weight per record on its component,
+        1/scale for the Gaussian law and the iteratively reweighted
+        least-squares weight 5/(4 sigma_y^2 + r^2) for the Student-t law.
+        Returns (value, gradient of the path's shape, curvature), or
+        (-inf, None, None) when a density vanishes.
         """
         x = path.states
         total = float(init.log_nu(x[0]))
         if total == -math.inf:
-            return -math.inf, None
+            return -math.inf, None, None
         grad = np.zeros_like(x)
         grad[0] = np.asarray(init.grad_log_nu(x[0]), dtype=float)
+        curv = np.zeros(x.shape + x.shape[1:])
+        if init.precision is not None:
+            curv[0] = init.precision
         c = self.component
         idx = path.grid.index_of(self.times)
         r = x[idx, c] - self.values
@@ -353,19 +366,23 @@ class Measurements:
             terms = (-0.5 * math.log(2.0 * math.pi * self.scale)
                      - 0.5 * r * r / self.scale).tolist()
             score = -r / self.scale
+            weight = 1.0 / self.scale
         else:
             s4 = 4.0 * self.scale * self.scale
             # scalar log1p: numpy's vectorised one differs in the last bit
             # on some inputs, and results must not depend on the build
             terms = [-2.5 * math.log1p(z) for z in (r * r / s4).tolist()]
-            score = -5.0 * r / (s4 + r * r)
+            denom = s4 + r * r
+            score = -5.0 * r / denom
+            weight = 5.0 / denom
         for term in terms:
             total += term
         if total == -math.inf:
-            return -math.inf, None
+            return -math.inf, None, None
         # unbuffered, so records sharing an instant all count
         np.add.at(grad[:, c], idx, score)
-        return total, grad
+        np.add.at(curv[:, c, c], idx, weight)
+        return total, grad, curv
 
 
 @dataclass(frozen=True)

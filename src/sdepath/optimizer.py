@@ -1,11 +1,22 @@
 """Merit maximisation over discrete state paths and nested-grid studies.
 
-The ascent method is a limited-memory quasi-Newton (two-loop recursion)
-with a backtracking Armijo line search.  Merit evaluations are extended
-real: a trial step that lands on a -inf merit, or violates the trapezoidal
-determinant condition, is treated as insufficient increase and the line
-search backtracks, so the iterates never leave the finite region when
-started inside it.
+The ascent method is damped Gauss-Newton.  Every merit couples only
+neighbouring grid states, so the Gauss-Newton approximation H of minus its
+Hessian (the `curvature` of a `MeritValue`) is block-tridiagonal with one
+n x n block per grid point; each step solves H d = g for the gradient g by
+block cyclic reduction in O(N) work, then backtracks along d until the
+Armijo sufficient-increase test holds on the true merit.  This is the
+iterated Kalman smoother read as Gauss-Newton; with Student-t records the
+measurement blocks carry the iteratively reweighted least-squares weights,
+so the iteration count stays flat as the grid is refined.  Where an
+objective gives no curvature, a pivot of H is not positive definite or the
+solved step is not an ascent direction, that iteration steps along the
+gradient instead.
+
+Merit evaluations are extended real: a trial step that lands on a -inf
+merit, or violates the trapezoidal determinant condition, is treated as
+insufficient increase and the line search backtracks, so the iterates never
+leave the finite region when started inside it.
 
 `convergence_study` solves the same estimation problem on a nested family
 of uniform grids, warm-starting each level from the previous maximiser, and
@@ -17,7 +28,7 @@ secondary mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,7 +45,6 @@ Objective = Callable[[DiscretePath], MeritValue]
 class OptimizerOptions:
     grad_tol: float = 1e-8
     max_iter: int = 500
-    memory: int = 10
     armijo: float = 1e-4          # sufficient-increase fraction
     backtrack: float = 0.5        # step contraction factor
     max_backtracks: int = 60
@@ -47,6 +57,7 @@ class OptimizationResult:
     merit: MeritValue
     grad_norm: float
     iterations: int
+    evaluations: int              # objective calls, line-search trials included
     status: str                   # converged | max_iter | line_search_failure
     merit_trace: np.ndarray
 
@@ -60,8 +71,11 @@ def maximize(objective: Objective, start: DiscretePath,
     """
     grid = start.grid
     shape = start.states.shape
+    evaluations = 0
 
     def evaluate(flat: np.ndarray) -> MeritValue:
+        nonlocal evaluations
+        evaluations += 1
         return objective(DiscretePath(grid, flat.reshape(shape)))
 
     def try_evaluate(flat: np.ndarray) -> MeritValue:
@@ -74,40 +88,26 @@ def maximize(objective: Objective, start: DiscretePath,
     if not current.finite:
         raise ValueError("objective is not finite at the starting path")
     x = start.states.ravel().copy()
-    grad = current.gradient.ravel().copy()
+    grad = current.gradient.ravel()
     trace = [current.value]
-
-    mem_s: list[np.ndarray] = []
-    mem_y: list[np.ndarray] = []
     iterations = 0
-    status = "max_iter"
 
     while True:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= options.grad_tol:
+        if float(np.linalg.norm(grad)) <= options.grad_tol:
             status = "converged"
             break
         if iterations >= options.max_iter:
             status = "max_iter"
             break
 
-        # Two-loop recursion on the negated problem (descent on -merit).
-        g_desc = -grad
-        d = _two_loop(g_desc, mem_s, mem_y)
-        slope = float(d @ g_desc)
-        if slope >= 0.0:
-            mem_s.clear()
-            mem_y.clear()
-            d = -g_desc
-            slope = float(d @ g_desc)
-
+        d = _ascent_direction(current, grad)
+        slope = float(d @ grad)
         alpha = options.init_step
         accepted = None
         for _ in range(options.max_backtracks):
             trial_x = x + alpha * d
             trial = try_evaluate(trial_x)
-            # Armijo on the negated problem: -trial <= -current + c*alpha*slope.
-            if trial.finite and -trial.value <= -current.value + options.armijo * alpha * slope:
+            if trial.finite and trial.value >= current.value + options.armijo * alpha * slope:
                 accepted = (trial_x, trial)
                 break
             alpha *= options.backtrack
@@ -115,20 +115,8 @@ def maximize(objective: Objective, start: DiscretePath,
             status = "line_search_failure"
             break
 
-        new_x, new_val = accepted
-        new_grad = new_val.gradient.ravel().copy()
-        s = new_x - x
-        y = -(new_grad - grad)    # gradient difference of the negated problem
-        sty = float(s @ y)
-        if sty > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            mem_s.append(s)
-            mem_y.append(y)
-            if len(mem_s) > options.memory:
-                mem_s.pop(0)
-                mem_y.pop(0)
-        x = new_x
-        grad = new_grad
-        current = new_val
+        x, current = accepted
+        grad = current.gradient.ravel()
         trace.append(current.value)
         iterations += 1
 
@@ -137,27 +125,66 @@ def maximize(objective: Objective, start: DiscretePath,
         merit=current,
         grad_norm=float(np.linalg.norm(grad)),
         iterations=iterations,
+        evaluations=evaluations,
         status=status,
         merit_trace=np.asarray(trace),
     )
 
 
-def _two_loop(g: np.ndarray, mem_s, mem_y) -> np.ndarray:
-    """Approximate -H^{-1} g from stored curvature pairs (descent direction)."""
-    q = g.copy()
-    alphas = []
-    for s, y in zip(reversed(mem_s), reversed(mem_y)):
-        rho = 1.0 / float(s @ y)
-        a = rho * float(s @ q)
-        alphas.append((a, rho, s, y))
-        q -= a * y
-    if mem_s:
-        s, y = mem_s[-1], mem_y[-1]
-        q *= float(s @ y) / float(y @ y)
-    for a, rho, s, y in reversed(alphas):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+def _ascent_direction(merit: MeritValue, grad: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton step H^{-1} g, or g itself when the merit has no
+    curvature, H has a pivot that is not positive definite, or the step is
+    not an ascent direction."""
+    if merit.curvature is not None:
+        diag, lower = merit.curvature
+        try:
+            d = _solve_block_tridiagonal(
+                diag, lower, grad.reshape(diag.shape[:2])).ravel()
+        except np.linalg.LinAlgError:
+            return grad
+        if np.all(np.isfinite(d)) and float(d @ grad) > 0.0:
+            return d
+    return grad
+
+
+def _solve_block_tridiagonal(diag: np.ndarray, lower: np.ndarray,
+                             rhs: np.ndarray) -> np.ndarray:
+    """Solve H x = rhs for symmetric block-tridiagonal H by cyclic reduction.
+
+    diag (m, n, n) holds the blocks H[k, k], lower (m-1, n, n) the blocks
+    H[k+1, k], rhs is (m, n).  Each level eliminates the odd-numbered
+    unknowns at once, which halves the system, so there are about log2(m)
+    vectorised levels.  Raises numpy.linalg.LinAlgError when a pivot block
+    is not positive definite.
+    """
+    if diag.shape[0] == 1:
+        np.linalg.cholesky(diag[0])
+        return np.linalg.solve(diag[0], rhs[0])[None]
+    pivots = diag[1::2]
+    np.linalg.cholesky(pivots)
+    inv = np.linalg.inv(pivots)
+    # odd unknown 2p+1 couples to 2p through a[p] = H[2p+1, 2p] and to
+    # 2p+2, when that exists, through c[p] = H[2p+2, 2p+1]
+    a = lower[0::2]
+    c = lower[1::2]
+    na, nc = a.shape[0], c.shape[0]
+    a_t = np.swapaxes(a, 1, 2)
+    y = (inv @ rhs[1::2, :, None])[..., 0]
+    inv_a = inv @ a
+    c_inv = c @ inv[:nc]
+    diag_e = diag[0::2].copy()
+    rhs_e = rhs[0::2].copy()
+    diag_e[:na] -= a_t @ inv_a
+    diag_e[1:1 + nc] -= c_inv @ np.swapaxes(c, 1, 2)
+    rhs_e[:na] -= (a_t @ y[..., None])[..., 0]
+    rhs_e[1:1 + nc] -= (c @ y[:nc, :, None])[..., 0]
+    x_e = _solve_block_tridiagonal(diag_e, -(c_inv @ a[:nc]), rhs_e)
+    x_o = y - (inv_a @ x_e[:na, :, None])[..., 0]
+    x_o[:nc] -= (np.swapaxes(c_inv, 1, 2) @ x_e[1:1 + nc, :, None])[..., 0]
+    x = np.empty_like(rhs)
+    x[0::2] = x_e
+    x[1::2] = x_o
+    return x
 
 
 def initial_path(grid: TimeGrid, init: InitialDensity,
@@ -243,6 +270,7 @@ class StudyLevel:
     merit: float
     grad_norm: float
     iterations: int
+    evaluations: int
     status: str
 
 
@@ -254,6 +282,8 @@ class ColdStartCheck:
     merit_gap: float          # warm merit minus cold merit
     sup_distance: float       # between warm and cold maximisers
     status: str
+    iterations: int
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -309,7 +339,9 @@ def convergence_study(problem: StudyProblem, kind: str,
         res = maximize(objective_for, start_path, options)
         levels.append(StudyLevel(n_segments=n_seg, path=res.path,
                                  merit=res.merit.value, grad_norm=res.grad_norm,
-                                 iterations=res.iterations, status=res.status))
+                                 iterations=res.iterations,
+                                 evaluations=res.evaluations,
+                                 status=res.status))
         start = res.path
 
     finest = levels[-1].path
@@ -326,6 +358,8 @@ def convergence_study(problem: StudyProblem, kind: str,
             merit_gap=levels[-1].merit - cold.merit.value,
             sup_distance=sup_distance(cold.path, finest),
             status=cold.status,
+            iterations=cold.iterations,
+            evaluations=cold.evaluations,
         )
     return ConvergenceStudy(kind=kind, levels=tuple(levels),
                             distances=distances, cold_check=check)

@@ -62,8 +62,11 @@ def polar_normal(rng: np.random.Generator, size) -> np.ndarray:
         n_pairs = n_pairs + n_pairs // 2 + 8
         v = rng.uniform(-1.0, 1.0, size=(n_pairs, 2))
         s = v[:, 0] ** 2 + v[:, 1] ** 2
-        keep = (s > 0.0) & (s < 1.0)
-        vk, sk = v[keep], s[keep]
+        # integer gather: faster than boolean masking of the 2-D array; the
+        # batch is released at once so the index array adds no peak memory
+        keep = np.flatnonzero((s > 0.0) & (s < 1.0))
+        vk, sk = v.take(keep, axis=0), s.take(keep)
+        del v, s, keep
         f = np.sqrt(-2.0 * np.log(sk) / sk)
         z = (vk * f[:, None]).reshape(-1)
         take = min(z.size, n - filled)

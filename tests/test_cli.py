@@ -273,7 +273,13 @@ class TestBenesConvergenceCommand:
         float(merit)
         assert (out / "paths_euler_4.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["kinds"]["euler"]["statuses"] == ["converged"]
+        euler = summary["kinds"]["euler"]
+        assert euler["statuses"] == ["converged"]
+        assert len(euler["iterations"]) == len(euler["evaluations"]) == 1
+        assert euler["evaluations"][0] >= euler["iterations"][0] + 1
+        cold = euler["cold_start"]
+        assert cold["status"] == "converged"
+        assert cold["evaluations"] >= cold["iterations"] + 1
         assert_no_temp_residue(out)
 
     def test_two_kinds_two_levels_thread_invariant(self, tmp_path):
@@ -319,6 +325,10 @@ class TestVdpRobustCommand:
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["failed"] == 0
         assert summary["kinds"]["euler"]["count"] == 1
+        for kind in ("euler", "trapezoidal"):
+            solves = summary["kinds"][kind]
+            assert len(solves["iterations"]) == len(solves["evaluations"]) == 1
+            assert solves["evaluations"][0] >= solves["iterations"][0] + 1
         assert 0.0 <= summary["outlier_fraction"] <= 1.0
         assert_no_temp_residue(out1)
 
@@ -404,6 +414,17 @@ class TestExitCodes:
                                name="vdp.json")
         with pytest.raises(ConfigError, match="component"):
             load_config("vdp-robust", vdp_cfg)
+
+    def test_removed_optimizer_memory_key_exits_2(self, tmp_path, capsys):
+        # the quasi-Newton history length went with the quasi-Newton solver
+        for experiment in ("benes-convergence", "vdp-robust"):
+            cfg = write_config(tmp_path, {"optimizer": {"memory": 10}})
+            out = tmp_path / "out"
+            assert cli.main([experiment, "--config", cfg,
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "memory" in err
+            assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

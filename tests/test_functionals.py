@@ -396,6 +396,109 @@ class TestExactTransitionMerit:
             fn.benes_exact_merit(path, flat_prior(2))
 
 
+def dense_curvature(mv):
+    """The curvature blocks of a MeritValue as one dense symmetric matrix."""
+    diag, lower = mv.curvature
+    m, n, _ = diag.shape
+    h = np.zeros((m * n, m * n))
+    for k in range(m):
+        h[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k]
+    for k in range(m - 1):
+        h[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = lower[k]
+        h[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = lower[k].T
+    return h
+
+
+def fd_minus_hessian(merit, path, h=1e-5):
+    """Minus the Hessian of a merit by central differences of its gradient."""
+    x = path.states.ravel()
+    cols = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        up = merit(DiscretePath(path.grid, (x + step).reshape(path.states.shape)))
+        down = merit(DiscretePath(path.grid, (x - step).reshape(path.states.shape)))
+        cols.append(-(up.gradient - down.gradient).ravel() / (2.0 * h))
+    return np.array(cols).T
+
+
+def linear_drift(a):
+    """dX = A X dt for a constant square matrix A."""
+    a = np.asarray(a, dtype=float)
+    dim = a.shape[0]
+    return DriftModel(
+        dim=dim,
+        f=lambda t, x: a @ x,
+        jac=lambda t, x: a.copy(),
+        div=lambda t, x: float(np.trace(a)),
+        jac_deriv_contract=lambda t, x, w: np.zeros(dim),
+        f_batch=lambda ts, xs: xs @ a.T,
+        jac_batch=lambda ts, xs: np.broadcast_to(a, (len(xs), dim, dim)).copy(),
+    )
+
+
+class TestGaussNewtonCurvature:
+    """The curvature blocks are the Gauss-Newton matrix of minus each merit:
+    exact where the merit is quadratic, positive semi-definite everywhere."""
+
+    def linear_problem(self):
+        drift = linear_drift([[-0.5, 1.0], [-1.0, -0.3]])
+        diffusion = Diffusion.from_matrix([[0.4, 0.0], [0.1, 0.3]])
+        init = InitialDensity.gaussian([0.2, -0.1], [[0.5, 0.1], [0.1, 0.3]])
+        grid = make_uniform_grid(1.0, 6, meas_times=[0.5, 0.5, 1.0])
+        meas = Measurements([0.5, 0.5, 1.0], [0.3, -0.2, 1.1], "gaussian",
+                            0.2, component=1)
+        return drift, diffusion, init, grid, meas
+
+    @pytest.mark.parametrize("merit", [fn.euler_merit, fn.trapezoidal_merit])
+    def test_exact_for_linear_drift_and_gaussian_records(self, merit):
+        drift, diffusion, init, grid, meas = self.linear_problem()
+
+        def objective(p):
+            return merit(p, drift, diffusion, init, meas)
+
+        path = random_path(grid, 2, seed=4)
+        mv = objective(path)
+        assert mv.curvature[0].shape == (7, 2, 2)
+        assert mv.curvature[1].shape == (6, 2, 2)
+        np.testing.assert_allclose(dense_curvature(mv),
+                                   fd_minus_hessian(objective, path),
+                                   rtol=1e-6, atol=1e-6)
+
+    def test_exact_merit_drops_only_the_terminal_log_cosh(self):
+        _, _, init = builtin_model("benes")
+        meas = Measurements([1.0, 2.0], [0.4, 1.0], "gaussian", 0.16)
+        grid = make_uniform_grid(2.0, 8, meas_times=[1.0, 2.0])
+        path = random_path(grid, 1, seed=5)
+
+        def objective(p):
+            return fn.benes_exact_merit(p, init, meas)
+
+        mv = objective(path)
+        expected = fd_minus_hessian(objective, path)
+        # the convex log cosh(x_N) term has negative curvature 1 - tanh^2
+        expected[-1, -1] += 1.0 - math.tanh(float(path.states[-1, 0])) ** 2
+        np.testing.assert_allclose(dense_curvature(mv), expected,
+                                   rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("merit", [fn.euler_merit, fn.trapezoidal_merit])
+    def test_positive_semidefinite_on_vdp_with_student_t_records(self, merit):
+        drift, diffusion, init = builtin_model("vdp")
+        grid = make_uniform_grid(2.0, 40, meas_times=[0.5, 1.0, 1.5])
+        meas = Measurements([0.5, 1.0, 1.5], [3.0, -0.4, 0.9], "student_t",
+                            0.5)
+        path = random_path(grid, 2, seed=6)
+        h = dense_curvature(merit(path, drift, diffusion, init, meas))
+        np.testing.assert_allclose(h, h.T, rtol=1e-12)
+        assert np.linalg.eigvalsh(h).min() > 0.0
+
+    def test_vanishing_density_has_no_curvature(self):
+        grid = make_uniform_grid(1.0, 2)
+        path = DiscretePath(grid, np.full(3, 5.0))
+        mv = fn.euler_merit(path, zero_drift(), unit_diffusion(), box_prior())
+        assert mv.value == -math.inf and mv.curvature is None
+
+
 class TestArgmaxAgreementUnderConstantDivergence:
     def test_maximizers_approach_each_other(self):
         # For the linear model the two continuous merits differ by a path

@@ -261,6 +261,7 @@ class TestDensitiesAndMeasurements:
         assert drop == pytest.approx(0.5)
         np.testing.assert_allclose(init.grad_log_nu(np.array([3.0])), [-0.5])
         np.testing.assert_allclose(init.mode, [1.0])
+        np.testing.assert_allclose(init.precision, [[0.25]])
 
     def test_gaussian_initial_density_sample(self):
         init = InitialDensity.gaussian([1.0, -2.0], [[4.0, 1.0], [1.0, 0.5]])
@@ -274,14 +275,15 @@ class TestDensitiesAndMeasurements:
         # record at t=2 on a flat-prior path: known value and slope
         m = Measurements([2.0], [1.0], "gaussian", 0.25)
         assert m.times.tolist() == [2.0] and m.values.tolist() == [1.0]
-        value, _ = m.log_density(at_end([1.0], 2.0), flat_prior())
+        value, _, _ = m.log_density(at_end([1.0], 2.0), flat_prior())
         assert value == pytest.approx(-0.5 * math.log(2.0 * math.pi * 0.25))
-        _, grad = m.log_density(at_end([1.5], 2.0), flat_prior())
+        _, grad, curv = m.log_density(at_end([1.5], 2.0), flat_prior())
         np.testing.assert_allclose(grad[-1], [-2.0])
+        np.testing.assert_array_equal(curv[:, 0, 0], [0.0, 4.0])
 
     def test_gaussian_measurement_picks_component(self):
         m = Measurements([1.0], [0.0], "gaussian", 1.0, component=1)
-        _, grad = m.log_density(at_end([5.0, 1.0], 1.0), flat_prior(2))
+        _, grad, _ = m.log_density(at_end([5.0, 1.0], 1.0), flat_prior(2))
         np.testing.assert_allclose(grad[-1], [0.0, -1.0])
         np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
@@ -308,6 +310,9 @@ def loop_log_density(meas, path, init):
     total = float(init.log_nu(x[0]))
     grad = np.zeros_like(x)
     grad[0] = init.grad_log_nu(x[0])
+    curv = np.zeros((x.shape[0], x.shape[1], x.shape[1]))
+    if init.precision is not None:
+        curv[0] = init.precision
     c = meas.component
     for t, y in zip(meas.times.tolist(), meas.values.tolist()):
         k = int(np.argmin(np.abs(path.grid.times - t)))
@@ -316,11 +321,13 @@ def loop_log_density(meas, path, init):
             v = meas.scale
             total += -0.5 * math.log(2.0 * math.pi * v) - 0.5 * r * r / v
             grad[k, c] += -r / v
+            curv[k, c, c] += 1.0 / v
         else:
             s4 = 4.0 * meas.scale * meas.scale
             total += -2.5 * math.log1p(r * r / s4)
             grad[k, c] += -5.0 * r / (s4 + r * r)
-    return total, grad
+            curv[k, c, c] += 5.0 / (s4 + r * r)
+    return total, grad, curv
 
 
 class TestMeasurements:
@@ -342,17 +349,18 @@ class TestMeasurements:
     def test_equals_per_record_loop(self, law, component):
         for seed in range(20):
             meas, path, init = self.problem(law, component, seed)
-            value, grad = meas.log_density(path, init)
-            ref_value, ref_grad = loop_log_density(meas, path, init)
+            value, grad, curv = meas.log_density(path, init)
+            ref_value, ref_grad, ref_curv = loop_log_density(meas, path, init)
             assert value == ref_value
             np.testing.assert_array_equal(grad, ref_grad)
+            np.testing.assert_array_equal(curv, ref_curv)
 
     @pytest.mark.parametrize("law", ["gaussian", "student_t"])
     def test_gradient_against_finite_differences(self, law):
         from sdepath.oracle import fd_gradient
 
         meas, path, init = self.problem(law, 1, seed=7)
-        _, grad = meas.log_density(path, init)
+        _, grad, _ = meas.log_density(path, init)
         fd = fd_gradient(
             lambda flat: meas.log_density(
                 DiscretePath(path.grid, flat.reshape(-1, 2)), init)[0],
@@ -361,16 +369,18 @@ class TestMeasurements:
 
     def test_no_records_is_the_prior(self):
         _, path, init = self.problem("gaussian", 0, seed=1)
-        value, grad = Measurements().log_density(path, init)
+        value, grad, curv = Measurements().log_density(path, init)
         assert value == init.log_nu(path.states[0])
         np.testing.assert_array_equal(grad[0], init.grad_log_nu(path.states[0]))
         assert not grad[1:].any()
+        np.testing.assert_array_equal(curv[0], init.precision)
+        assert not curv[1:].any()
 
     def test_vanishing_prior_is_minus_inf(self):
         box = InitialDensity(log_nu=lambda x: -math.inf,
                              grad_log_nu=lambda x: np.zeros(2))
         meas, path, _ = self.problem("student_t", 0, seed=2)
-        assert meas.log_density(path, box) == (-math.inf, None)
+        assert meas.log_density(path, box) == (-math.inf, None, None)
 
     def test_off_grid_instant_raises(self):
         meas = Measurements([0.3], [0.0])

@@ -18,6 +18,7 @@ from sdepath.optimizer import (
     ColdStartCheck,
     OptimizerOptions,
     StudyProblem,
+    _solve_block_tridiagonal,
     convergence_study,
     initial_path,
     maximize,
@@ -26,12 +27,21 @@ from sdepath.optimizer import (
 from sdepath.oracle import LinearGaussianSpec, fd_gradient, rts_smoother
 
 
+def diagonal_curvature(weights):
+    """Curvature blocks of a merit whose minus-Hessian is diagonal; weights
+    has the shape of the path states."""
+    n_pts, dim = weights.shape
+    diag = weights[:, :, None] * np.eye(dim)
+    return diag, np.zeros((n_pts - 1, dim, dim))
+
+
 def bowl_objective(center):
     """Concave quadratic peaking at `center` (same shape as path states)."""
 
     def objective(path):
         d = path.states - center
-        return MeritValue(value=-float(np.sum(d * d)), gradient=-2.0 * d)
+        return MeritValue(value=-float(np.sum(d * d)), gradient=-2.0 * d,
+                          curvature=diagonal_curvature(np.full(d.shape, 2.0)))
 
     return objective
 
@@ -54,7 +64,8 @@ class TestMaximize:
         def objective(path):
             d = path.states - 1.0
             return MeritValue(value=-float(np.sum(d**4)),
-                              gradient=-4.0 * d**3)
+                              gradient=-4.0 * d**3,
+                              curvature=diagonal_curvature(12.0 * d**2))
 
         res = maximize(objective, DiscretePath(grid, np.zeros((2, 1))),
                        OptimizerOptions(grad_tol=1e-10, max_iter=2000))
@@ -93,7 +104,9 @@ class TestMaximize:
             # budget is capped so the step cannot shrink to where the
             # sufficient-increase comparison falls below float resolution.
             x = path.states
-            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x)
+            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x,
+                              curvature=diagonal_curvature(
+                                  np.full(x.shape, 2.0)))
 
         res = maximize(objective, DiscretePath(grid, np.ones((3, 1))),
                        OptimizerOptions(max_backtracks=40))
@@ -129,6 +142,116 @@ class TestMaximize:
         np.testing.assert_array_equal(a.merit_trace, b.merit_trace)
 
 
+def dense_blocks(diag, lower):
+    m, n, _ = diag.shape
+    h = np.zeros((m * n, m * n))
+    for k in range(m):
+        h[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k]
+    for k in range(m - 1):
+        h[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = lower[k]
+        h[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = lower[k].T
+    return h
+
+
+def random_spd_blocks(m, n, seed):
+    """Random block-tridiagonal system, positive definite by block
+    diagonal dominance."""
+    rng = np.random.default_rng(seed)
+    lower = rng.normal(size=(m - 1, n, n))
+    root = rng.normal(size=(m, n, n))
+    diag = root @ np.swapaxes(root, 1, 2) + 0.1 * np.eye(n)
+    size = np.abs(lower).sum(axis=(1, 2))[:, None, None] * np.eye(n)
+    diag[:-1] += size
+    diag[1:] += size
+    return diag, lower, rng.normal(size=(m, n))
+
+
+class TestBlockTridiagonalSolve:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 1601])
+    def test_matches_dense_solve(self, m, n):
+        diag, lower, rhs = random_spd_blocks(m, n, seed=10 * m + n)
+        x = _solve_block_tridiagonal(diag, lower, rhs)
+        assert x.shape == (m, n)
+        ref = np.linalg.solve(dense_blocks(diag, lower), rhs.ravel())
+        np.testing.assert_allclose(x.ravel(), ref, rtol=1e-10, atol=1e-12)
+
+    def test_indefinite_pivot_raises(self):
+        diag, lower, rhs = random_spd_blocks(5, 2, seed=3)
+        diag[3] = -np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_block_tridiagonal(diag, lower, rhs)
+
+
+class TestGaussNewtonSteps:
+    def benes_problem(self):
+        drift, diffusion, init = builtin_model("benes")
+        meas = Measurements([5.0], [1.5], "gaussian", 0.16)
+        return StudyProblem(drift, diffusion, init, meas, horizon=5.0), init, meas
+
+    @pytest.mark.parametrize("kind,tol", [("euler", 5e-3),
+                                          ("trapezoidal", 1e-3)])
+    def test_one_step_reproduces_smoother_on_linear_model(self, kind, tol):
+        # with a linear drift and Gaussian records both merits are quadratic
+        # and their Gauss-Newton matrix is exact: one step lands on the
+        # maximiser, which is within the discretisation error of the
+        # exact-transition smoother
+        drift, diffusion, init = builtin_model("ou")
+        times = (0.4, 0.8, 1.2, 1.6, 2.0)
+        values = (-0.908, 0.577, 1.062, 0.405, 1.362)
+        meas = Measurements(times, values, "gaussian", 0.25)
+        prob = StudyProblem(drift, diffusion, init, meas, horizon=2.0)
+        grid = prob.grid(256)
+        res = maximize(prob.objective(kind), initial_path(grid, init, meas),
+                       OptimizerOptions(grad_tol=1e-8, max_iter=1))
+        assert res.status == "converged" and res.iterations == 1
+        assert res.evaluations == 2
+        spec = LinearGaussianSpec(a=-1.0, g=1.0, x0_mean=0.0, x0_cov=1.0)
+        sm = rts_smoother(spec, grid,
+                          [(t, y, 1.0, 0.25) for t, y in zip(times, values)])
+        assert np.max(np.abs(res.path.states[:, 0] - sm.means[:, 0])) <= tol
+
+    @pytest.mark.parametrize("kind", ["euler", "trapezoidal", "exact"])
+    def test_iterations_flat_in_grid_size(self, kind):
+        prob, init, meas = self.benes_problem()
+        opts = OptimizerOptions(grad_tol=1e-6, max_iter=200)
+        counts = {}
+        for n in (64, 4096):
+            grid = prob.grid(n)
+            res = maximize(prob.objective(kind),
+                           initial_path(grid, init, meas), opts)
+            assert res.status == "converged"
+            counts[n] = res.iterations
+        assert counts[4096] <= counts[64]
+
+    def test_exact_cold_start_converges_at_1024(self):
+        prob, init, meas = self.benes_problem()
+        grid = prob.grid(1024)
+        res = maximize(prob.objective("exact"), initial_path(grid, init, meas),
+                       OptimizerOptions(grad_tol=1e-6, max_iter=5000))
+        assert res.status == "converged"
+        assert res.grad_norm <= 1e-6
+
+    @pytest.mark.parametrize("weight", [None, -1.0])
+    def test_missing_or_indefinite_curvature_steps_along_gradient(self,
+                                                                 weight):
+        # on the unit bowl a unit gradient step lands on the peak, while
+        # the solved step for curvature -1 would point away from it
+        grid = make_uniform_grid(1.0, 3)
+        center = np.linspace(-1.0, 2.0, 4)[:, None]
+
+        def objective(path):
+            d = path.states - center
+            curvature = (None if weight is None
+                         else diagonal_curvature(np.full(d.shape, weight)))
+            return MeritValue(value=-0.5 * float(np.sum(d * d)), gradient=-d,
+                              curvature=curvature)
+
+        res = maximize(objective, DiscretePath(grid, np.zeros((4, 1))))
+        assert res.status == "converged" and res.iterations == 1
+        np.testing.assert_allclose(res.path.states, center, atol=1e-12)
+
+
 class TestAgainstExactPosterior:
     def test_gaussian_merit_maximizer_matches_smoother(self):
         # Quadratic merit assembled from the exact one-step transitions of
@@ -151,10 +274,17 @@ class TestAgainstExactPosterior:
             grad[1:] -= resid / q
             grad[:-1] += phi * resid / q
             grad[0] -= (x[0] - m0) / p0
+            diag = np.zeros(x.size)
+            diag[:-1] += phi * phi / q
+            diag[1:] += 1.0 / q
+            diag[0] += 1.0 / p0
             for j, (_, y, r) in zip(meas_idx, meas):
                 value -= 0.5 * (y - x[j]) ** 2 / r
                 grad[j] += (y - x[j]) / r
-            return MeritValue(value=value, gradient=grad[:, None])
+                diag[j] += 1.0 / r
+            lower = (-phi / q)[:, None, None]
+            return MeritValue(value=value, gradient=grad[:, None],
+                              curvature=(diag[:, None, None], lower))
 
         res = maximize(objective, DiscretePath(grid, np.zeros((17, 1))),
                        OptimizerOptions(grad_tol=1e-10, max_iter=4000))
@@ -317,8 +447,10 @@ class TestMinimumEnergyLimit:
             det = 1.0 - 0.5 * delta * sech2
             grad = mv.gradient.copy()
             grad[1:, 0] -= delta * th * sech2 / det
+            # the trapezoidal Gauss-Newton matrix leaves out the log-det
+            # terms, so it serves the energy merit as well
             return MeritValue(value=mv.value - float(np.sum(np.log(det))),
-                              gradient=grad)
+                              gradient=grad, curvature=mv.curvature)
 
         # hand-built gradient double-checked against finite differences on
         # a small independent instance

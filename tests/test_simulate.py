@@ -55,7 +55,37 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
+def boolean_mask_polar_normal(rng, size):
+    """polar_normal as first written, gathering the accepted pairs with a
+    boolean mask; kept to pin the draws of the integer gather."""
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    n = int(np.prod(shape)) if shape else 1
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        n_pairs = (n - filled + 1) // 2
+        n_pairs = n_pairs + n_pairs // 2 + 8
+        v = rng.uniform(-1.0, 1.0, size=(n_pairs, 2))
+        s = v[:, 0] ** 2 + v[:, 1] ** 2
+        keep = (s > 0.0) & (s < 1.0)
+        vk, sk = v[keep], s[keep]
+        f = np.sqrt(-2.0 * np.log(sk) / sk)
+        z = (vk * f[:, None]).reshape(-1)
+        take = min(z.size, n - filled)
+        out[filled:filled + take] = z[:take]
+        filled += take
+    return out.reshape(shape) if shape else out[0]
+
+
 class TestPolarNormal:
+    @pytest.mark.parametrize("size", [1, 2, (100, 3), (32000, 2)])
+    def test_same_draws_as_boolean_mask(self, size):
+        for seed in (5, 6):
+            new = polar_normal(RngStream(seed).generator(), size)
+            old = boolean_mask_polar_normal(RngStream(seed).generator(), size)
+            assert new.shape == old.shape
+            assert np.array_equal(new, old)
+
     def test_moments(self):
         z = polar_normal(RngStream(11).generator(), 200_000)
         assert abs(float(np.mean(z))) <= 0.01
@@ -283,7 +313,7 @@ def student_t_score(y, x, sigma_y, component=0):
     flat = InitialDensity(log_nu=lambda z: 0.0,
                           grad_log_nu=lambda z: np.zeros(x.size))
     meas = Measurements([1.0], [y], "student_t", sigma_y, component)
-    value, grad = meas.log_density(path, flat)
+    value, grad, _ = meas.log_density(path, flat)
     return value, grad[-1]
 
 
