@@ -67,7 +67,9 @@ def maximize(objective: Objective, start: DiscretePath,
     """Maximise an extended-real merit over path states.
 
     The start must have a finite merit; anything else raises.  The returned
-    trace of accepted merit values is non-decreasing.
+    trace of accepted merit values is non-decreasing.  The status is
+    "line_search_failure" when backtracking finds no sufficient increase,
+    or finds it only at a step too small to change the merit.
     """
     grid = start.grid
     shape = start.states.shape
@@ -111,7 +113,13 @@ def maximize(objective: Objective, start: DiscretePath,
                 accepted = (trial_x, trial)
                 break
             alpha *= options.backtrack
-        if accepted is None:
+        # a backtracked trial that only ties the merit passed because the
+        # demanded increase fell below the merit's round-off: the merit can
+        # no longer tell steps apart, and further steps would shuffle the
+        # last bits of the path without end.  (A full step may tie: near
+        # the maximiser its increase is below round-off while |g| falls.)
+        if accepted is None or (alpha < options.init_step
+                                and accepted[1].value <= current.value):
             status = "line_search_failure"
             break
 

@@ -6,6 +6,16 @@ Wiener increment and its time integral over each step; `wiener_pair` draws
 them with the exact joint covariance
     Var dW = h,   Var dZ = h^3/3,   Cov(dW, dZ) = h^2/2.
 
+Both integrators step R paths at once as the rows of an (R, n) state.
+Row r draws all its increments from its own generator before the first
+step, exactly as a lone path would, so its path is bit for bit the same
+whatever rows share its batch.  The drift is evaluated through
+`DriftModel.f_rows`: once per Euler step, twice per order-1.5 step (at the
+rows, then at all their supporting points).  A row whose state stops being
+finite fails alone, and the other rows carry on.  Buffers take about
+1.5 MB per order-1.5 row at 32 000 steps of a 2-D model, so callers with
+many paths step them in blocks.
+
 Measurement generation follows the contaminated-Gaussian scheme used by the
 robustness experiment: each sample is Gaussian around the observed state
 component, with probability p_outlier of a larger standard deviation.
@@ -84,30 +94,67 @@ def _check_horizon(step: float, horizon: float) -> int:
     return n_steps
 
 
-def euler_maruyama(drift: DriftModel, diffusion: Diffusion, x0,
-                   step: float, horizon: float,
-                   rng: np.random.Generator):
-    """Euler-Maruyama sample path on a uniform grid.
+def _check_rows(x0, rngs) -> np.ndarray:
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2 or x.shape[0] != len(rngs) or x.shape[0] == 0:
+        raise ValueError("initial states must have shape (R, n) with one "
+                         "generator per row, got %r for %d generators"
+                         % (x.shape, len(rngs)))
+    return x
 
-    Returns (times, states) with states of shape (n_steps+1, dim)."""
+
+def _g_dw(g: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """G dW for increments along the last axis of dw, summed column by
+    column over the nonzero entries of G: a BLAS matmul may round
+    differently, and a diagonal G costs one product per entry."""
+    out = np.zeros(dw.shape[:-1] + g.shape[:1])
+    for j in range(g.shape[1]):
+        rows = np.flatnonzero(g[:, j])
+        out[..., rows] += dw[..., j, None] * g[rows, j]
+    return out
+
+
+def _row_failures(states: np.ndarray, step: float) -> dict:
+    """A SimulationError for each row whose path stops being finite; a
+    non-finite state stays so under every later step (x + y is finite only
+    when x is), so its first non-finite step is the failing one."""
+    finite = np.isfinite(states[1:]).all(axis=2)
+    failures = {}
+    for r in np.flatnonzero(~finite.all(axis=0)):
+        k = int(np.argmin(finite[:, r])) + 1
+        failures[int(r)] = SimulationError(
+            "state became non-finite at step %d (t=%.6g)" % (k, k * step))
+    return failures
+
+
+def euler_maruyama(drift: DriftModel, diffusion: Diffusion, x0,
+                   step: float, horizon: float, rngs):
+    """Euler-Maruyama sample paths on a uniform grid, one per row of x0.
+
+    x0 has shape (R, n); row r draws its increments from rngs[r].  Returns
+    (times, states, failures): states has shape (R, n_steps+1, n), and
+    failures maps each row whose state became non-finite to its
+    SimulationError (that row's states are then meaningless)."""
     n_steps = _check_horizon(step, horizon)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = x.size
-    states = np.empty((n_steps + 1, n))
-    states[0] = x
+    x0 = _check_rows(x0, rngs)
     g = diffusion.g
     # all Wiener increments drawn up front; one draw per step would thrash
     # the rejection sampler on tiny batches
-    dw = math.sqrt(step) * polar_normal(rng, (n_steps, g.shape[1]))
-    for k in range(n_steps):
-        t = k * step
-        x = x + np.asarray(drift.f(t, x), dtype=float) * step + g @ dw[k]
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(
-                "state became non-finite at step %d (t=%.6g)" % (k + 1, t + step))
-        states[k + 1] = x
+    gdw = np.empty((n_steps,) + x0.shape)
+    for r, rng in enumerate(rngs):
+        gdw[:, r] = _g_dw(g, math.sqrt(step)
+                          * polar_normal(rng, (n_steps, g.shape[1])))
+    states = np.empty((n_steps + 1,) + x0.shape)
+    states[0] = x = x0
+    ts = np.empty(x0.shape[0])
+    f_rows = drift.f_rows
+    # a row that overflows is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            ts.fill(k * step)
+            states[k + 1] = x = x + f_rows(ts, x) * step + gdw[k]
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return times, states
+    return times, states.swapaxes(0, 1), _row_failures(states, step)
 
 
 def wiener_pair(rng: np.random.Generator, step: float, size):
@@ -122,52 +169,91 @@ def wiener_pair(rng: np.random.Generator, step: float, size):
 def order15_step(drift: DriftModel, diffusion: Diffusion, t: float,
                  x: np.ndarray, step: float, dw: np.ndarray,
                  dz: np.ndarray) -> np.ndarray:
-    """One explicit strong order-1.5 step for additive noise.
+    """One explicit strong order-1.5 step for additive noise, on rows.
 
-    Derivative-free: the drift correction and the dZ response both come from
-    supporting drift evaluations at x + f*h +- sqrt(m*h) * G[:, j].  With the
-    noise switched off (dw = dz = 0) the step is a deterministic order-2
-    Taylor step for x' = f(t, x).
+    x has shape (R, n), dw and dz shape (R, m); returns the (R, n) states
+    after the step.  Derivative-free: the drift correction and the dZ
+    response both come from supporting drift evaluations at
+    x + f*h +- sqrt(m*h) * G[:, j].  With the noise switched off
+    (dw = dz = 0) the step is a deterministic order-2 Taylor step for
+    x' = f(t, x).
     """
+    x = np.asarray(x, dtype=float)
     g = diffusion.g
-    m = g.shape[1]
-    f0 = np.asarray(drift.f(t, x), dtype=float)
-    base = x + f0 * step
-    offset = math.sqrt(m * step)
-    det_sum = np.zeros_like(f0)
-    dz_term = np.zeros_like(f0)
-    t_next = t + step
-    for j in range(m):
-        col = offset * g[:, j]
-        f_plus = np.asarray(drift.f(t_next, base + col), dtype=float)
-        f_minus = np.asarray(drift.f(t_next, base - col), dtype=float)
-        det_sum += f_plus + f_minus
-        dz_term += (f_plus - f_minus) * (dz[j] / (2.0 * offset))
-    return (x + step * (0.5 * f0 + det_sum / (4.0 * m))
-            + g @ dw + dz_term)
+    offset = math.sqrt(g.shape[1] * step)
+    return _order15_advance(
+        drift.f_rows, t, x, step, _support_shifts(g, offset),
+        _g_dw(g, np.asarray(dw, dtype=float)),
+        (np.asarray(dz, dtype=float) / (2.0 * offset)).T[..., None],
+        np.empty(x.shape[0]), np.empty(2 * g.shape[1] * x.shape[0]))
+
+
+def _support_shifts(g: np.ndarray, offset: float) -> np.ndarray:
+    """(2m, 1, n) shifts of the supporting points: offset * G[:, j] for each
+    column j, then their negatives (x + (-y) is x - y in floating point)."""
+    shift = (offset * g.T)[:, None, :]
+    return np.concatenate([shift, -shift])
+
+
+def _order15_advance(f_rows, t: float, x: np.ndarray, step: float,
+                     shifts: np.ndarray, gdw: np.ndarray, dzs: np.ndarray,
+                     ts: np.ndarray, ts_support: np.ndarray) -> np.ndarray:
+    """The order-1.5 step of the rows x from time t, with the parts that
+    do not depend on the state precomputed: shifts from `_support_shifts`,
+    gdw (R, n) = G dW and dzs (m, R, 1) = dZ / (2 sqrt(m*h)).  ts and
+    ts_support are time buffers of R and 2mR entries."""
+    m = dzs.shape[0]
+    ts.fill(t)
+    f0 = f_rows(ts, x)
+    support = (x + f0 * step) + shifts
+    ts_support.fill(t + step)
+    fs = f_rows(ts_support,
+                support.reshape(ts_support.size, -1)).reshape(support.shape)
+    pair_sums = fs[:m] + fs[m:]
+    dz_parts = (fs[:m] - fs[m:]) * dzs
+    # summed in column order from the first column, not from zero: that
+    # differs only in the sign of a sum that is zero in every column, which
+    # can change the step only where a state entry is exactly -0.0
+    det_sum = pair_sums[0]
+    dz_term = dz_parts[0]
+    for j in range(1, m):
+        det_sum = det_sum + pair_sums[j]
+        dz_term = dz_term + dz_parts[j]
+    return x + step * (0.5 * f0 + det_sum / (4.0 * m)) + gdw + dz_term
 
 
 def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
-                    step: float, horizon: float,
-                    rng: np.random.Generator):
-    """Strong order-1.5 sample path for additive (constant G) noise.
+                    step: float, horizon: float, rngs):
+    """Strong order-1.5 sample paths for additive (constant G) noise.
 
-    Returns (times, states) like `euler_maruyama`."""
+    Rows, generators and the return value are as in `euler_maruyama`.  Row
+    r draws its whole (n_steps, m) `wiener_pair` from rngs[r] before any
+    step, as a lone path would, and a row's path does not depend on the
+    other rows."""
     n_steps = _check_horizon(step, horizon)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    n = x.size
-    states = np.empty((n_steps + 1, n))
-    states[0] = x
-    dw, dz = wiener_pair(rng, step, (n_steps, diffusion.g.shape[1]))
-    for k in range(n_steps):
-        x = order15_step(drift, diffusion, k * step, x, step, dw[k], dz[k])
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(
-                "state became non-finite at step %d (t=%.6g)"
-                % (k + 1, (k + 1) * step))
-        states[k + 1] = x
+    x0 = _check_rows(x0, rngs)
+    g = diffusion.g
+    m = g.shape[1]
+    offset = math.sqrt(m * step)
+    gdw = np.empty((n_steps,) + x0.shape)
+    dzs = np.empty((n_steps, m, x0.shape[0], 1))
+    for r, rng in enumerate(rngs):
+        dw, dz = wiener_pair(rng, step, (n_steps, m))
+        gdw[:, r] = _g_dw(g, dw)
+        dzs[:, :, r, 0] = dz / (2.0 * offset)
+        del dw, dz                # before the next row's draw
+    shifts = _support_shifts(g, offset)
+    ts, ts_support = np.empty(x0.shape[0]), np.empty(2 * m * x0.shape[0])
+    states = np.empty((n_steps + 1,) + x0.shape)
+    states[0] = x = x0
+    f_rows = drift.f_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            states[k + 1] = x = _order15_advance(
+                f_rows, k * step, x, step, shifts, gdw[k], dzs[k], ts,
+                ts_support)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return times, states
+    return times, states.swapaxes(0, 1), _row_failures(states, step)
 
 
 @dataclass(frozen=True)

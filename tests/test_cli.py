@@ -1,6 +1,7 @@
 """Command-line driver: config handling, outputs, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,11 +374,54 @@ class TestVdpRobustCommand:
             return real(drift, diffusion, x0, *args)
 
         monkeypatch.setattr(cli, "strong_order_15", spy)
-        cfg = self.tiny_config(tmp_path, model={"name": "ou", "params": {}})
+        cfg = self.tiny_config(tmp_path, model={"name": "ou", "params": {}},
+                               replicates=2)
         assert cli.main(["vdp-robust", "--config", cfg, "--seed", "7",
                          "--out", str(tmp_path / "out")]) == 0
-        expected = polar_normal(RngStream(7, 0).generator(), 1)
-        np.testing.assert_array_equal(starts, [expected])
+        # one batch, one row per replicate, each drawn from its own stream
+        expected = [polar_normal(RngStream(7, rep).generator(), 1)
+                    for rep in range(2)]
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], expected)
+
+    def test_replicate_rows_independent_of_batch_size(self, tmp_path):
+        # 20 replicates cross a simulation block boundary; the rows of the
+        # first three must not depend on the replicates stepped beside them
+        rows = {}
+        for n in (3, 20):
+            cfg = self.tiny_config(tmp_path, replicates=n)
+            out = tmp_path / ("out%d" % n)
+            assert cli.main(["vdp-robust", "--config", cfg,
+                             "--out", str(out)]) == 0
+            rows[n] = (out / "ise.csv").read_text().splitlines()
+        assert cli._SIM_BLOCK < 20
+        assert len(rows[20]) == 1 + 2 * 20
+        assert rows[3] == rows[20][:1 + 2 * 3]
+
+    def test_exploding_replicate_fails_alone(self, tmp_path, monkeypatch):
+        # replicate 1 starts where the vdp drift overflows within a few
+        # steps; it is listed as a failure and the others are summarised
+        real = cli.strong_order_15
+
+        def blow_up_row_1(drift, diffusion, x0, *args):
+            x0 = np.array(x0)
+            x0[1] = 1e80
+            return real(drift, diffusion, x0, *args)
+
+        monkeypatch.setattr(cli, "strong_order_15", blow_up_row_1)
+        cfg = self.tiny_config(tmp_path, replicates=3)
+        out = tmp_path / "out"
+        assert cli.main(["vdp-robust", "--config", cfg,
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed"] == 1
+        assert list(summary["failures"]) == ["1"]
+        assert re.fullmatch(r"SimulationError: state became non-finite at "
+                            r"step \d+ \(t=[0-9.e+-]+\)",
+                            summary["failures"]["1"])
+        ise = [l.split(",")[0] for l in
+               (out / "ise.csv").read_text().splitlines()[1:]]
+        assert ise == ["0", "0", "2", "2"]
 
     def test_all_replicates_failing_is_runtime_error(self, tmp_path):
         # simulation step does not divide the horizon: every replicate

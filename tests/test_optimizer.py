@@ -25,6 +25,7 @@ from sdepath.optimizer import (
     sup_distance,
 )
 from sdepath.oracle import LinearGaussianSpec, fd_gradient, rts_smoother
+from sdepath.simulate import RngStream, sample_measurements, strong_order_15
 
 
 def diagonal_curvature(weights):
@@ -111,6 +112,27 @@ class TestMaximize:
         res = maximize(objective, DiscretePath(grid, np.ones((3, 1))),
                        OptimizerOptions(max_backtracks=40))
         assert res.status == "line_search_failure"
+
+    def test_step_below_round_off_ends_line_search(self):
+        # the wrong-sign objective with the default backtrack budget: the
+        # step shrinks until the trial path equals the start, where the
+        # sufficient-increase comparison "passes" in round-off; the solve
+        # must stop there, not repeat that to max_iter
+        grid = make_uniform_grid(1.0, 2)
+
+        def objective(path):
+            x = path.states
+            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x,
+                              curvature=diagonal_curvature(
+                                  np.full(x.shape, 2.0)))
+
+        options = OptimizerOptions()
+        res = maximize(objective, DiscretePath(grid, np.ones((3, 1))),
+                       options)
+        assert res.status == "line_search_failure"
+        assert res.iterations == 0
+        assert res.evaluations <= 1 + options.max_backtracks
+        np.testing.assert_array_equal(res.path.states, np.ones((3, 1)))
 
     def test_mesh_error_treated_as_barrier(self):
         # objective raises where |x| is large; with a huge initial step the
@@ -250,6 +272,33 @@ class TestGaussNewtonSteps:
         res = maximize(objective, DiscretePath(grid, np.zeros((4, 1))))
         assert res.status == "converged" and res.iterations == 1
         np.testing.assert_allclose(res.path.states, center, atol=1e-12)
+
+
+class TestRoundOffFloor:
+    def test_vdp_trapezoidal_solve_stops_at_round_off(self):
+        # Replicate 0 of the default vdp-robust study.  Below |g| ~ 1e-7 the
+        # merit (about -220) no longer resolves the Gauss-Newton steps; a
+        # grad_tol past that floor must end in a line-search failure within
+        # a few iterations, not in thousands of evaluations at max_iter.
+        drift, diffusion, init = builtin_model("vdp")
+        rng = RngStream(20240501, 0).generator()
+        times, states, failed = strong_order_15(
+            drift, diffusion, init.sample(rng)[None], 5e-4, 16.0, [rng])
+        assert not failed
+        sample = sample_measurements(times, states[0], 0.1, 0.5, 3.0, 0.25,
+                                     rng)
+        meas = Measurements(sample.times, sample.values, "student_t", 0.5)
+        prob = StudyProblem(drift, diffusion, init, meas, horizon=16.0)
+        grid = make_uniform_grid(16.0, 1600, meas_times=sample.times)
+        euler = maximize(prob.objective("euler"),
+                         initial_path(grid, init, meas, dim=2),
+                         OptimizerOptions(grad_tol=1e-6, max_iter=300))
+        assert euler.status == "converged"
+        trap = maximize(prob.objective("trapezoidal"), euler.path,
+                        OptimizerOptions(grad_tol=1e-7, max_iter=300))
+        assert trap.status == "line_search_failure"
+        assert trap.evaluations < 500
+        assert trap.grad_norm < 1e-6
 
 
 class TestAgainstExactPosterior:

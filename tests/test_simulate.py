@@ -24,7 +24,9 @@ from sdepath.simulate import (
     strong_order_15,
     wiener_pair,
 )
-from strong_order_helpers import fitted_slope, self_coupled_rmse
+import strong_order_helpers
+from strong_order_helpers import (aggregate_pair, fitted_slope,
+                                  self_coupled_rmse)
 
 
 def block_drift(f_vec, dim):
@@ -35,6 +37,7 @@ def block_drift(f_vec, dim):
         f=lambda t, x: f_vec(x),
         jac=lambda t, x: np.zeros((dim, dim)),
         div=lambda t, x: 0.0,
+        f_batch=lambda ts, xs: f_vec(xs),
     )
 
 
@@ -116,64 +119,262 @@ class TestEulerMaruyama:
         monkeypatch.setattr("sdepath.simulate.polar_normal",
                             lambda rng, size: np.zeros(size))
         drift = block_drift(lambda x: -x, 1)
-        times, states = euler_maruyama(drift, Diffusion.from_matrix([[1.0]]),
-                                       [1.0], 0.1, 1.0,
-                                       RngStream(0).generator())
-        np.testing.assert_allclose(states[:, 0], 0.9 ** np.arange(11),
+        times, states, failed = euler_maruyama(
+            drift, Diffusion.from_matrix([[1.0]]), [[1.0]], 0.1, 1.0,
+            [RngStream(0).generator()])
+        assert not failed
+        np.testing.assert_allclose(states[0, :, 0], 0.9 ** np.arange(11),
                                    atol=1e-15)
         np.testing.assert_allclose(times, np.linspace(0.0, 1.0, 11))
 
     def test_pure_noise_increment_variance(self):
         drift = block_drift(lambda x: np.zeros_like(x), 1)
         h = 0.01
-        _, states = euler_maruyama(drift, Diffusion.from_matrix([[1.0]]),
-                                   [0.0], h, 1000.0,
-                                   RngStream(21).generator())
-        inc = np.diff(states[:, 0])
+        _, states, _ = euler_maruyama(drift, Diffusion.from_matrix([[1.0]]),
+                                      [[0.0]], h, 1000.0,
+                                      [RngStream(21).generator()])
+        inc = np.diff(states[0, :, 0])
         assert inc.size == 100_000
         assert abs(float(np.var(inc)) / h - 1.0) <= 0.03
 
     def test_stationary_variance(self):
-        # 10^4 independent scalar runs batched as 50 runs of a 200-dim block
-        # of independent copies; terminal variance of dX = -X dt + dW from
-        # x0 = 0 at T = 5 is 0.5 up to e^{-10} transients.
+        # 10^4 independent scalar runs batched as 50 rows of a 200-dim
+        # block of independent copies; terminal variance of dX = -X dt + dW
+        # from x0 = 0 at T = 5 is 0.5 up to e^{-10} transients.
         dim = 200
         drift = block_drift(lambda x: -x, dim)
         diffusion = Diffusion.from_matrix(np.eye(dim))
-        terminal = []
-        for rep in range(50):
-            _, states = euler_maruyama(drift, diffusion, np.zeros(dim),
-                                       1e-3, 5.0,
-                                       RngStream(777, rep).generator())
-            terminal.append(states[-1])
-        var = float(np.var(np.concatenate(terminal)))
+        _, states, _ = euler_maruyama(
+            drift, diffusion, np.zeros((50, dim)), 1e-3, 5.0,
+            [RngStream(777, rep).generator() for rep in range(50)])
+        var = float(np.var(states[:, -1]))
         assert abs(var - 0.5) <= 0.025
 
     def test_reproducible(self):
         drift, diffusion, _ = builtin_model("benes")
-        _, a = euler_maruyama(drift, diffusion, [0.0], 0.01, 1.0,
-                              RngStream(3, 1).generator())
-        _, b = euler_maruyama(drift, diffusion, [0.0], 0.01, 1.0,
-                              RngStream(3, 1).generator())
+        _, a, _ = euler_maruyama(drift, diffusion, [[0.0]], 0.01, 1.0,
+                                 [RngStream(3, 1).generator()])
+        _, b, _ = euler_maruyama(drift, diffusion, [[0.0]], 0.01, 1.0,
+                                 [RngStream(3, 1).generator()])
         np.testing.assert_array_equal(a, b)
 
     def test_step_must_divide_horizon(self):
         drift, diffusion, _ = builtin_model("benes")
-        rng = RngStream(0).generator()
+        rngs = [RngStream(0).generator()]
         with pytest.raises(ValueError):
-            euler_maruyama(drift, diffusion, [0.0], 0.3, 1.0, rng)
+            euler_maruyama(drift, diffusion, [[0.0]], 0.3, 1.0, rngs)
         with pytest.raises(ValueError):
-            euler_maruyama(drift, diffusion, [0.0], -0.1, 1.0, rng)
+            euler_maruyama(drift, diffusion, [[0.0]], -0.1, 1.0, rngs)
         with pytest.raises(ValueError):
-            euler_maruyama(drift, diffusion, [0.0], 0.1, 0.0, rng)
+            euler_maruyama(drift, diffusion, [[0.0]], 0.1, 0.0, rngs)
 
     def test_unstable_model_raises(self):
+        # the integrator reports the failure of its one row; callers raise it
         drift = block_drift(lambda x: x**3, 1)
         diffusion = Diffusion.from_matrix([[1e-8]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError, match="non-finite"):
-                euler_maruyama(drift, diffusion, [2.0], 1.0, 10.0,
-                               RngStream(0).generator())
+        _, _, failed = euler_maruyama(drift, diffusion, [[2.0]], 1.0, 10.0,
+                                      [RngStream(0).generator()])
+        assert list(failed) == [0]
+        assert isinstance(failed[0], SimulationError)
+        assert "non-finite" in str(failed[0])
+
+
+def scalar_order15_step(drift, diffusion, t, x, step, dw, dz):
+    """The order-1.5 step as first written: one path, one scalar drift call
+    per point; kept to pin the arithmetic of the row stepper."""
+    g = diffusion.g
+    m = g.shape[1]
+    f0 = np.asarray(drift.f(t, x), dtype=float)
+    base = x + f0 * step
+    offset = math.sqrt(m * step)
+    det_sum = np.zeros_like(f0)
+    dz_term = np.zeros_like(f0)
+    t_next = t + step
+    for j in range(m):
+        col = offset * g[:, j]
+        f_plus = np.asarray(drift.f(t_next, base + col), dtype=float)
+        f_minus = np.asarray(drift.f(t_next, base - col), dtype=float)
+        det_sum += f_plus + f_minus
+        dz_term += (f_plus - f_minus) * (dz[j] / (2.0 * offset))
+    return (x + step * (0.5 * f0 + det_sum / (4.0 * m))
+            + g @ dw + dz_term)
+
+
+def scalar_path(drift, diffusion, x0, step, horizon, rng, scheme):
+    """One path by the integrators as first written; raises SimulationError
+    at the first non-finite state."""
+    n_steps = int(round(horizon / step))
+    g = diffusion.g
+    x = np.array(x0, dtype=float)
+    states = [x]
+    if scheme == "euler":
+        dw = math.sqrt(step) * polar_normal(rng, (n_steps, g.shape[1]))
+    else:
+        dw, dz = wiener_pair(rng, step, (n_steps, g.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if scheme == "euler":
+                t = k * step
+                x = (x + np.asarray(drift.f(t, x), dtype=float) * step
+                     + g @ dw[k])
+                t_fail = t + step
+            else:
+                x = scalar_order15_step(drift, diffusion, k * step, x, step,
+                                        dw[k], dz[k])
+                t_fail = (k + 1) * step
+            if not np.all(np.isfinite(x)):
+                raise SimulationError(
+                    "state became non-finite at step %d (t=%.6g)"
+                    % (k + 1, t_fail))
+            states.append(x)
+    return np.array(states)
+
+
+INTEGRATORS = {"euler": euler_maruyama, "order15": strong_order_15}
+
+
+class TestRowStepping:
+    """Rows stepped together are the paths each row gives alone."""
+
+    @pytest.mark.parametrize("scheme", sorted(INTEGRATORS))
+    @pytest.mark.parametrize("model", ["benes", "ou", "vdp"])
+    def test_rows_equal_lone_paths(self, model, scheme):
+        drift, diffusion, init = builtin_model(model)
+        step, horizon = 1e-3, 0.5
+
+        def start(rows):
+            rngs = [RngStream(11, r).generator() for r in range(rows)]
+            return np.stack([init.sample(rng) for rng in rngs]), rngs
+
+        x0, rngs = start(17)
+        reference = [scalar_path(drift, diffusion, x, step, horizon, rng,
+                                 scheme) for x, rng in zip(x0, rngs)]
+        for rows in (1, 3, 17):
+            x0, rngs = start(rows)
+            times, states, failed = INTEGRATORS[scheme](
+                drift, diffusion, x0, step, horizon, rngs)
+            assert not failed
+            assert states.shape == (rows, 501, drift.dim)
+            for r in range(rows):
+                assert np.array_equal(states[r], reference[r])
+        assert np.array_equal(times, np.linspace(0.0, horizon, 501))
+
+    @pytest.mark.parametrize("scheme", sorted(INTEGRATORS))
+    def test_exploding_row_fails_alone(self, scheme):
+        # x' = x^3 blows up in finite time 1/(2 x0^2): within the horizon
+        # from x0 = 2, long after it from 0.1 and 0.2
+        drift = block_drift(lambda x: x**3, 1)
+        diffusion = Diffusion.from_matrix([[1e-8]])
+        x0 = [[0.1], [2.0], [0.2]]
+        rngs = [RngStream(5, r).generator() for r in range(3)]
+        _, states, failed = INTEGRATORS[scheme](drift, diffusion, x0, 0.1,
+                                                10.0, rngs)
+        assert list(failed) == [1]
+        assert isinstance(failed[1], SimulationError)
+        with pytest.raises(SimulationError) as lone:
+            scalar_path(drift, diffusion, x0[1], 0.1, 10.0,
+                        RngStream(5, 1).generator(), scheme)
+        assert str(failed[1]) == str(lone.value)
+        for r in (0, 2):
+            assert np.array_equal(states[r], scalar_path(
+                drift, diffusion, x0[r], 0.1, 10.0,
+                RngStream(5, r).generator(), scheme))
+
+    def test_order15_step_rows_match_scalar_steps(self):
+        # a general (non-diagonal) G: the row step sums G dW by column, the
+        # scalar one by matmul, so compare to rounding only
+        drift, _, _ = builtin_model("vdp")
+        diffusion = Diffusion.from_matrix([[0.3, 0.1], [-0.2, 0.5]])
+        rng = RngStream(8).generator()
+        x = polar_normal(rng, (4, 2))
+        dw, dz = wiener_pair(rng, 0.01, (4, 2))
+        rows = order15_step(drift, diffusion, 0.3, x, 0.01, dw, dz)
+        for r in range(4):
+            np.testing.assert_allclose(
+                rows[r], scalar_order15_step(drift, diffusion, 0.3, x[r],
+                                             0.01, dw[r], dz[r]),
+                rtol=1e-14, atol=1e-16)
+
+    def test_rows_must_match_generators(self):
+        drift, diffusion, _ = builtin_model("ou")
+        rngs = [RngStream(0, r).generator() for r in range(2)]
+        for scheme in INTEGRATORS.values():
+            with pytest.raises(ValueError):
+                scheme(drift, diffusion, [0.0, 0.0], 0.1, 1.0, rngs)
+            with pytest.raises(ValueError):
+                scheme(drift, diffusion, [[0.0]], 0.1, 1.0, rngs)
+
+
+def scalar_self_coupled_rmse(drift, diffusion, x0, horizon, steps,
+                             fine_ratio, n_paths, seed):
+    """`self_coupled_rmse` as first written: a loop over paths."""
+    steps = sorted(steps, reverse=True)
+    h_f = min(steps) / fine_ratio
+    n_f = int(round(horizon / h_f))
+    m = diffusion.g.shape[1]
+
+    def terminal(step, dw, dz):
+        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+        for k in range(dw.shape[0]):
+            x = scalar_order15_step(drift, diffusion, k * step, x, step,
+                                    dw[k], dz[k])
+        return x
+
+    sq = {h: 0.0 for h in steps}
+    for p in range(n_paths):
+        dw_f, dz_f = wiener_pair(RngStream(seed, p).generator(), h_f, (n_f, m))
+        x_ref = terminal(h_f, dw_f, dz_f)
+        for h in steps:
+            dw_c, dz_c = aggregate_pair(dw_f, dz_f, int(round(h / h_f)), h_f)
+            sq[h] += float(np.sum((terminal(h, dw_c, dz_c) - x_ref) ** 2))
+    return np.array(steps), np.sqrt(np.array([sq[h] / n_paths for h in steps]))
+
+
+def scalar_euler_reference_rmse(drift, diffusion, x0, horizon, steps, refine,
+                                n_paths, seed):
+    """`euler_reference_rmse` as first written: a loop over paths."""
+    steps = sorted(steps, reverse=True)
+    m = diffusion.g.shape[1]
+    g = diffusion.g
+    sq = {h: 0.0 for h in steps}
+    for p in range(n_paths):
+        for i, h in enumerate(steps):
+            rng = RngStream(seed, p * len(steps) + i).generator()
+            h_f = h / refine
+            n_f = int(round(horizon / h_f))
+            dw_f = np.sqrt(h_f) * polar_normal(rng, (n_f, m))
+            x_ref = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+            for k in range(n_f):
+                x_ref = (x_ref + np.asarray(drift.f(k * h_f, x_ref)) * h_f
+                         + g @ dw_f[k])
+            dwb = dw_f.reshape(-1, refine, m)
+            dw_c = dwb.sum(axis=1)
+            dz_c = h_f * (np.cumsum(dwb, axis=1) - dwb).sum(axis=1)
+            x_c = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+            for k in range(dw_c.shape[0]):
+                x_c = scalar_order15_step(drift, diffusion, k * h, x_c, h,
+                                          dw_c[k], dz_c[k])
+            sq[h] += float(np.sum((x_c - x_ref) ** 2))
+    return np.array(steps), np.sqrt(np.array([sq[h] / n_paths for h in steps]))
+
+
+class TestStrongOrderHelpers:
+    """The row-batched helpers give the slopes of the per-path loops bit for
+    bit, so the fitted orders of the strong-order checks do not move."""
+
+    @pytest.mark.parametrize("model", ["benes", "ou"])
+    def test_batched_helpers_match_scalar_loops(self, model):
+        drift, diffusion, _ = builtin_model(model)
+        args = (drift, diffusion, [0.3], 0.25, (1e-2, 5e-3))
+        for batched, scalar, extra in (
+                (strong_order_helpers.self_coupled_rmse,
+                 scalar_self_coupled_rmse, 4),
+                (strong_order_helpers.euler_reference_rmse,
+                 scalar_euler_reference_rmse, 10)):
+            hs, rmse = batched(*args, extra, 7, seed=99)
+            hs_ref, rmse_ref = scalar(*args, extra, 7, seed=99)
+            assert np.array_equal(hs, hs_ref)
+            assert np.array_equal(rmse, rmse_ref)
 
 
 class TestWienerPair:
@@ -197,27 +398,30 @@ class TestOrder15:
         # second-order step; for x' = -x, h = 0.1 it gives 0.905.
         drift = block_drift(lambda x: -x, 1)
         diffusion = Diffusion.from_matrix([[1.0]])
-        x1 = order15_step(drift, diffusion, 0.0, np.array([1.0]), 0.1,
-                          np.zeros(1), np.zeros(1))
-        assert x1[0] == pytest.approx(0.905, abs=1e-12)
-        assert abs(x1[0] - math.exp(-0.1)) <= 2e-4
+        x1 = order15_step(drift, diffusion, 0.0, np.array([[1.0]]), 0.1,
+                          np.zeros((1, 1)), np.zeros((1, 1)))
+        assert x1.shape == (1, 1)
+        assert x1[0, 0] == pytest.approx(0.905, abs=1e-12)
+        assert abs(x1[0, 0] - math.exp(-0.1)) <= 2e-4
 
     def test_path_reproducible(self):
         drift, diffusion, _ = builtin_model("vdp")
-        _, a = strong_order_15(drift, diffusion, [1.0, 0.0], 0.01, 2.0,
-                               RngStream(9, 4).generator())
-        _, b = strong_order_15(drift, diffusion, [1.0, 0.0], 0.01, 2.0,
-                               RngStream(9, 4).generator())
+        _, a, _ = strong_order_15(drift, diffusion, [[1.0, 0.0]], 0.01, 2.0,
+                                  [RngStream(9, 4).generator()])
+        _, b, _ = strong_order_15(drift, diffusion, [[1.0, 0.0]], 0.01, 2.0,
+                                  [RngStream(9, 4).generator()])
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (201, 2)
+        assert a.shape == (1, 201, 2)
 
     def test_unstable_model_raises(self):
+        # the integrator reports the failure of its one row; callers raise it
         drift = block_drift(lambda x: x**3, 1)
         diffusion = Diffusion.from_matrix([[1e-8]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError, match="non-finite"):
-                strong_order_15(drift, diffusion, [2.0], 1.0, 10.0,
-                                RngStream(0).generator())
+        _, _, failed = strong_order_15(drift, diffusion, [[2.0]], 1.0, 10.0,
+                                       [RngStream(0).generator()])
+        assert list(failed) == [0]
+        assert isinstance(failed[0], SimulationError)
+        assert "non-finite" in str(failed[0])
 
     def test_strong_order_self_coupled(self):
         # Coarse runs against the same scheme on an 8x finer nested grid
@@ -241,17 +445,12 @@ class TestBenesSpread:
         dim = 300
         drift = block_drift(np.tanh, dim)
         diffusion = Diffusion.from_matrix(np.eye(dim))
-        at1 = []
-        at5 = []
-        for rep in range(4):
-            times, states = euler_maruyama(drift, diffusion, np.zeros(dim),
-                                           0.01, 5.0,
-                                           RngStream(55, rep).generator())
-            k1 = int(np.searchsorted(times, 1.0))
-            at1.append(np.abs(states[k1]))
-            at5.append(np.abs(states[-1]))
-        m1 = float(np.mean(np.concatenate(at1)))
-        m5 = float(np.mean(np.concatenate(at5)))
+        times, states, _ = euler_maruyama(
+            drift, diffusion, np.zeros((4, dim)), 0.01, 5.0,
+            [RngStream(55, rep).generator() for rep in range(4)])
+        k1 = int(np.searchsorted(times, 1.0))
+        m1 = float(np.mean(np.abs(states[:, k1])))
+        m5 = float(np.mean(np.abs(states[:, -1])))
         assert m5 > m1 + 2.0
 
 
