@@ -33,6 +33,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,14 +70,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text so the file at `path` is either complete or absent."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings `chunks` in order so the file at `path` is either
+    complete or absent."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -86,14 +88,29 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+# CSV lines formatted and written at once: a long path's whole text would
+# take tens of MB
+_CSV_BLOCK = 4096
+
+
+def _write_csv(path: Path, header: Sequence[str], lines) -> None:
+    """Write a CSV of the row strings `lines`, streamed in blocks."""
+    lines = iter(lines)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        while True:
+            block = list(islice(lines, _CSV_BLOCK))
+            if not block:
+                return
+            yield "\n".join(block) + "\n"
+
+    _atomic_write(path, chunks())
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True)
+                         + "\n"])
 
 
 def _path_header(dim: int) -> list:
@@ -103,8 +120,14 @@ def _path_header(dim: int) -> list:
 
 
 def _path_rows(times: np.ndarray, states: np.ndarray):
-    for t, x in zip(times, states):
-        yield [_fmt(t)] + [_fmt(v) for v in x]
+    """CSV lines of a path: the time, then the state, each formatted as
+    `_fmt` formats it."""
+    fmt = ",".join(["%.17g"] * (1 + states.shape[1]))
+    for first in range(0, times.size, _CSV_BLOCK):
+        last = first + _CSV_BLOCK
+        for row in np.column_stack((times[first:last],
+                                    states[first:last])).tolist():
+            yield fmt % tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +482,9 @@ def run_benes_convergence(config: ExperimentConfig, threads: int = 1) -> int:
             _write_csv(out / ("paths_%s_%d.csv" % (kind, level.n_segments)),
                        _path_header(drift.dim),
                        _path_rows(times, level.path.states))
-            conv_rows.append([kind, str(level.n_segments),
-                              "" if dist is None else _fmt(dist),
-                              _fmt(level.merit)])
+            conv_rows.append(",".join([kind, str(level.n_segments),
+                                       "" if dist is None else _fmt(dist),
+                                       _fmt(level.merit)]))
         cold = study.cold_check
         summary["kinds"][kind] = {
             "statuses": [lv.status for lv in study.levels],
@@ -588,7 +611,8 @@ def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
     rows = []
     for rep in sorted(results):
         for rec in results[rep]["records"]:
-            rows.append([str(rec.replicate), rec.kind, _fmt(rec.ise)])
+            rows.append("%d,%s,%s" % (rec.replicate, rec.kind,
+                                      _fmt(rec.ise)))
     _write_csv(out / "ise.csv", ["replicate", "kind", "ise"], rows)
 
     summary = {"schema": SCHEMA_VERSION, "experiment": config.experiment,
@@ -643,7 +667,7 @@ def run_simulate(config: ExperimentConfig) -> int:
                                      proto.sigma_outlier, proto.p_outlier,
                                      rng, component=proto.component)
         _write_csv(out / "measurements.csv", ["t", "y", "outlier_flag"],
-                   ([_fmt(t), _fmt(y), str(int(flag))]
+                   ("%s,%s,%d" % (_fmt(t), _fmt(y), flag)
                     for t, y, flag in zip(sample.times, sample.values,
                                           sample.outlier)))
     log.info("wrote %s (%d steps, %s scheme)", out / "path.csv",

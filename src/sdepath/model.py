@@ -390,6 +390,11 @@ class DriftModel:
     """Drift f(t, x) with its Jacobian and divergence.
 
     All callbacks take a scalar time and a state vector of length `dim`.
+    `f(t, x)` takes any length-`dim` sequence of floats (a lone simulated
+    path passes a list) and returns a length-`dim` sequence; for any row it
+    must return exactly what `f_rows` returns, or a lone path would differ
+    from the same row stepped in a batch.  The builtin models return tuples
+    of Python floats, the fastest form for that path.
     `jac_deriv_contract(t, x, w)` returns the vector whose p-th entry is
     sum_ab w[a,b] * d(jac[a,b])/dx[p]; it feeds the gradient of log-det
     terms in the trapezoidal merit.  When absent, a central finite
@@ -401,7 +406,7 @@ class DriftModel:
     """
 
     dim: int
-    f: Callable[[float, np.ndarray], np.ndarray]
+    f: Callable[[float, Sequence[float]], Sequence[float]]
     jac: Callable[[float, np.ndarray], np.ndarray]
     div: Callable[[float, np.ndarray], float]
     jac_deriv_contract: Optional[Callable] = None
@@ -451,7 +456,9 @@ class DriftModel:
 
 def _benes_drift() -> DriftModel:
     def f(t, x):
-        return np.tanh(x)
+        # np.tanh, not math.tanh: the two round differently, and f must
+        # equal f_rows bit for bit
+        return (float(np.tanh(x[0])),)
 
     def jac(t, x):
         th = np.tanh(float(x[0]))
@@ -490,7 +497,7 @@ def _vdp_drift() -> DriftModel:
     # dv = (-u + 2 (1 - u^2) v) dt + noise.
     def f(t, x):
         u, v = float(x[0]), float(x[1])
-        return np.array([v, -u + 2.0 * (1.0 - u * u) * v])
+        return (v, -u + 2.0 * (1.0 - u * u) * v)
 
     def jac(t, x):
         u, v = float(x[0]), float(x[1])
@@ -541,7 +548,7 @@ def _vdp_drift() -> DriftModel:
 
 def _ou_drift(a: float) -> DriftModel:
     def f(t, x):
-        return -a * x
+        return (-a * float(x[0]),)
 
     def jac(t, x):
         return np.array([[-a]])

@@ -11,10 +11,14 @@ Row r draws all its increments from its own generator before the first
 step, exactly as a lone path would, so its path is bit for bit the same
 whatever rows share its batch.  The drift is evaluated through
 `DriftModel.f_rows`: once per Euler step, twice per order-1.5 step (at the
-rows, then at all their supporting points).  A row whose state stops being
-finite fails alone, and the other rows carry on.  Buffers take about
-1.5 MB per order-1.5 row at 32 000 steps of a 2-D model, so callers with
-many paths step them in blocks.
+rows, then at all their supporting points).  A lone order-1.5 path (one
+row) is instead stepped as Python floats through the point drift
+`DriftModel.f`, 1 + 2m calls per step, with the same operations in the
+same order: on a few numbers, numpy's per-call dispatch costs more than
+the arithmetic.  A row whose state stops being finite fails alone, and the
+other rows carry on.  Buffers take about 1.5 MB per order-1.5 row at
+32 000 steps of a 2-D model, so callers with many paths step them in
+blocks.
 
 Measurement generation follows the contaminated-Gaussian scheme used by the
 robustness experiment: each sample is Gaussian around the observed state
@@ -222,6 +226,50 @@ def _order15_advance(f_rows, t: float, x: np.ndarray, step: float,
     return x + step * (0.5 * f0 + det_sum / (4.0 * m)) + gdw + dz_term
 
 
+# steps of a lone path whose noise is turned into Python floats at once:
+# one conversion of all 256 000 steps of a long path would hold about
+# 100 MB of float objects
+_LONE_BLOCK = 4096
+
+
+def _lone_order15_path(f, x, step: float, shifts: np.ndarray,
+                       gdw: np.ndarray, dzs: np.ndarray,
+                       out: np.ndarray) -> None:
+    """The order-1.5 path of one row as Python floats, through the point
+    drift f: the operations of `_order15_advance` in the same order, so the
+    same states bit for bit.  x is the initial state as a list; shifts
+    (2m, n), gdw (n_steps, n) and dzs (n_steps, m) hold the row's entries
+    of the arrays `_order15_advance` takes; out (n_steps, n) receives the
+    states after each step."""
+    shifts = shifts.tolist()
+    m = len(shifts) // 2
+    m4 = 4.0 * m
+    for first in range(0, out.shape[0], _LONE_BLOCK):
+        last = min(first + _LONE_BLOCK, out.shape[0])
+        block = []
+        for k, gdw_k, dzs_k in zip(range(first, last),
+                                   gdw[first:last].tolist(),
+                                   dzs[first:last].tolist()):
+            t = k * step
+            f0 = f(t, x)
+            base = [xi + fi * step for xi, fi in zip(x, f0)]
+            t = t + step
+            fs = [f(t, [bi + si for bi, si in zip(base, sh)])
+                  for sh in shifts]
+            fp, fm, dz = fs[0], fs[m], dzs_k[0]
+            det_sum = [a + b for a, b in zip(fp, fm)]
+            dz_term = [(a - b) * dz for a, b in zip(fp, fm)]
+            for j in range(1, m):
+                fp, fm, dz = fs[j], fs[m + j], dzs_k[j]
+                det_sum = [d + (a + b) for d, a, b in zip(det_sum, fp, fm)]
+                dz_term = [d + (a - b) * dz
+                           for d, a, b in zip(dz_term, fp, fm)]
+            x = [xi + step * (0.5 * fi + di / m4) + gi + zi
+                 for xi, fi, di, gi, zi in zip(x, f0, det_sum, gdw_k, dz_term)]
+            block.append(x)
+        out[first:last] = block
+
+
 def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
                     step: float, horizon: float, rngs):
     """Strong order-1.5 sample paths for additive (constant G) noise.
@@ -229,7 +277,8 @@ def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
     Rows, generators and the return value are as in `euler_maruyama`.  Row
     r draws its whole (n_steps, m) `wiener_pair` from rngs[r] before any
     step, as a lone path would, and a row's path does not depend on the
-    other rows."""
+    other rows.  A single row is stepped through `drift.f` (see the module
+    docstring), more rows through `drift.f_rows`."""
     n_steps = _check_horizon(step, horizon)
     x0 = _check_rows(x0, rngs)
     g = diffusion.g
@@ -243,15 +292,20 @@ def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
         dzs[:, :, r, 0] = dz / (2.0 * offset)
         del dw, dz                # before the next row's draw
     shifts = _support_shifts(g, offset)
-    ts, ts_support = np.empty(x0.shape[0]), np.empty(2 * m * x0.shape[0])
     states = np.empty((n_steps + 1,) + x0.shape)
     states[0] = x = x0
-    f_rows = drift.f_rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            states[k + 1] = x = _order15_advance(
-                f_rows, k * step, x, step, shifts, gdw[k], dzs[k], ts,
-                ts_support)
+        if x0.shape[0] == 1:
+            _lone_order15_path(drift.f, x0[0].tolist(), step, shifts[:, 0],
+                               gdw[:, 0], dzs[:, :, 0, 0], states[1:, 0])
+        else:
+            f_rows = drift.f_rows
+            ts = np.empty(x0.shape[0])
+            ts_support = np.empty(2 * m * x0.shape[0])
+            for k in range(n_steps):
+                states[k + 1] = x = _order15_advance(
+                    f_rows, k * step, x, step, shifts, gdw[k], dzs[k], ts,
+                    ts_support)
     times = np.linspace(0.0, horizon, n_steps + 1)
     return times, states.swapaxes(0, 1), _row_failures(states, step)
 

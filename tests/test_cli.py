@@ -1,5 +1,6 @@
 """Command-line driver: config handling, outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -247,6 +248,41 @@ class TestSimulateCommand:
         header = (out / "path.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2"
 
+    def test_vdp_order15_golden_bytes(self, tmp_path):
+        # a lone path steps as floats through the point drift; these
+        # digests were taken from the numpy row stepper
+        cfg = self.simulate_config(
+            tmp_path, model={"name": "vdp", "params": {}}, horizon=4.0,
+            sim_step=5e-4, scheme="order15",
+            protocol={"step": 0.1, "sigma_y": 0.5, "sigma_outlier": 3.0,
+                      "p_outlier": 0.25})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--seed", "20240501",
+                         "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("path.csv", "measurements.csv")}
+        assert digests == {
+            "path.csv": "d018d8d3de2e9683b7b7c7337c6964498b57613ae84a2d462eb"
+                        "832e0df898d5c",
+            "measurements.csv": "9508c07f7d9fcfe1671bc806cff0f4e6a2f3dc4124c"
+                                "2ce4b32580af2bd7d31fc",
+        }
+
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        # rows are written in blocks, but the file appears only complete
+        def lines():
+            for k in range(3 * cli._CSV_BLOCK):
+                yield str(k)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            cli._write_csv(tmp_path / "x.csv", ["k"], lines())
+        assert list(tmp_path.iterdir()) == []
+        cli._write_csv(tmp_path / "x.csv", ["k"],
+                       (str(k) for k in range(3 * cli._CSV_BLOCK)))
+        assert (tmp_path / "x.csv").read_text() == "".join(
+            "%s\n" % k for k in ["k"] + list(range(3 * cli._CSV_BLOCK)))
+
     def test_floats_written_at_full_precision(self, tmp_path):
         cfg = self.simulate_config(tmp_path)
         out = tmp_path / "out"
@@ -397,6 +433,22 @@ class TestVdpRobustCommand:
         assert cli._SIM_BLOCK < 20
         assert len(rows[20]) == 1 + 2 * 20
         assert rows[3] == rows[20][:1 + 2 * 3]
+
+    def test_lone_last_block_row_matches_wider_block(self, tmp_path):
+        # with one replicate past a full block, the last block is a lone
+        # row stepped through the point drift; its ise rows must be those
+        # it has as one of several rows
+        n = cli._SIM_BLOCK + 1
+        rows = {}
+        for reps in (n, 20):
+            cfg = self.tiny_config(tmp_path, replicates=reps)
+            out = tmp_path / ("out%d" % reps)
+            assert cli.main(["vdp-robust", "--config", cfg,
+                             "--out", str(out)]) == 0
+            rows[reps] = (out / "ise.csv").read_text().splitlines()
+        assert 20 > n
+        assert len(rows[n]) == 1 + 2 * n
+        assert rows[n] == rows[20][:1 + 2 * n]
 
     def test_exploding_replicate_fails_alone(self, tmp_path, monkeypatch):
         # replicate 1 starts where the vdp drift overflows within a few

@@ -213,8 +213,14 @@ class TestBuiltinModels:
         ts = rng.uniform(0.0, 5.0, size=20)
         xs = rng.normal(size=(20, drift.dim))
         ws = rng.normal(size=(20, drift.dim, drift.dim))
+        # exact: a lone simulated row steps through f, a batch through f_rows
         f_loop = np.stack([drift.f(t, x) for t, x in zip(ts, xs)])
-        np.testing.assert_allclose(drift.f_rows(ts, xs), f_loop, atol=1e-13)
+        assert np.array_equal(drift.f_rows(ts, xs), f_loop)
+        # the lone row passes lists of floats and gets floats back
+        for t, x, fx in zip(ts.tolist(), xs.tolist(), f_loop):
+            out = drift.f(t, x)
+            assert all(type(v) is float for v in out)
+            assert np.array_equal(out, fx)
         j_loop = np.stack([drift.jac(t, x) for t, x in zip(ts, xs)])
         np.testing.assert_allclose(drift.jac_rows(ts, xs), j_loop, atol=1e-13)
         d_loop = np.array([drift.div(t, x) for t, x in zip(ts, xs)])

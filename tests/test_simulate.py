@@ -1,6 +1,7 @@
 """Sample-path generation, the noise source, and measurement sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from strong_order_helpers import (aggregate_pair, fitted_slope,
 
 def block_drift(f_vec, dim):
     """Many independent copies of a scalar law as one vector model, so that
-    distributional checks can batch through the integrators."""
+    distributional checks can batch through the integrators.  f takes any
+    length-dim sequence and returns an ndarray."""
     return DriftModel(
         dim=dim,
-        f=lambda t, x: f_vec(x),
+        f=lambda t, x: f_vec(np.asarray(x)),
         jac=lambda t, x: np.zeros((dim, dim)),
         div=lambda t, x: 0.0,
         f_batch=lambda ts, xs: f_vec(xs),
@@ -303,6 +305,78 @@ class TestRowStepping:
                 scheme(drift, diffusion, [0.0, 0.0], 0.1, 1.0, rngs)
             with pytest.raises(ValueError):
                 scheme(drift, diffusion, [[0.0]], 0.1, 1.0, rngs)
+
+
+class TestLoneRow:
+    """One order-1.5 row steps as floats through f, and gives the path it
+    has as a row of a batch stepped through f_rows."""
+
+    @staticmethod
+    def paths(drift, diffusion, x0, seed, rows, step=1e-3, horizon=2.0):
+        rngs = [RngStream(seed, r).generator() for r in range(rows)]
+        return strong_order_15(drift, diffusion, np.repeat([x0], rows, 0),
+                               step, horizon, rngs)
+
+    @pytest.mark.parametrize("seed", [20240501, 90001])
+    @pytest.mark.parametrize("model", ["benes", "ou", "vdp"])
+    def test_lone_row_equals_batch_row(self, model, seed):
+        drift, diffusion, init = builtin_model(model)
+        x0 = init.sample(RngStream(seed, 99).generator())
+        times, lone, failed = self.paths(drift, diffusion, x0, seed, 1)
+        assert not failed
+        _, batch, _ = self.paths(drift, diffusion, x0, seed, 3)
+        assert lone.shape == (1, 2001, drift.dim)
+        assert np.array_equal(lone[0], batch[0])
+        assert np.array_equal(times, np.linspace(0.0, 2.0, 2001))
+
+    @pytest.mark.parametrize("model", ["cubic", "vdp"])
+    def test_lone_overflow_fails_as_in_batch(self, model):
+        if model == "cubic":
+            drift = block_drift(lambda x: x**3, 1)
+            diffusion, x0 = Diffusion.from_matrix([[1e-8]]), [2.0]
+        else:
+            drift, diffusion, _ = builtin_model("vdp")
+            x0 = [1e80, 1e80]
+        _, _, lone = self.paths(drift, diffusion, x0, 5, 1, 0.1, 10.0)
+        _, _, batch = self.paths(drift, diffusion, x0, 5, 3, 0.1, 10.0)
+        assert list(lone) == [0] and sorted(batch) == [0, 1, 2]
+        assert isinstance(lone[0], SimulationError)
+        assert str(lone[0]) == str(batch[0])
+        assert re.fullmatch(r"state became non-finite at step \d+ "
+                            r"\(t=[0-9.e+-]+\)", str(lone[0]))
+
+    def test_ndarray_drift_gives_same_path(self):
+        base, diffusion, init = builtin_model("vdp")
+        user = DriftModel(dim=2, f=lambda t, x: np.array(base.f(t, x)),
+                          jac=base.jac, div=base.div)
+        x0 = init.sample(RngStream(3).generator())
+        _, ref, _ = self.paths(base, diffusion, x0, 3, 1)
+        _, lone, _ = self.paths(user, diffusion, x0, 3, 1)
+        assert np.array_equal(lone, ref)
+
+    @pytest.mark.parametrize("rows, f_per_step, f_rows_per_step",
+                             [(1, 5, 0), (3, 0, 2)])
+    def test_drift_calls_per_step(self, monkeypatch, rows, f_per_step,
+                                  f_rows_per_step):
+        base, diffusion, init = builtin_model("vdp")
+        calls = {"f": 0, "f_rows": 0}
+
+        def f(t, x):
+            calls["f"] += 1
+            return base.f(t, x)
+
+        real_f_rows = DriftModel.f_rows
+
+        def f_rows(self, ts, xs):
+            calls["f_rows"] += 1
+            return real_f_rows(self, ts, xs)
+
+        monkeypatch.setattr(DriftModel, "f_rows", f_rows)
+        drift = DriftModel(dim=2, f=f, jac=base.jac, div=base.div,
+                           f_batch=base.f_batch)
+        self.paths(drift, diffusion, [0.1, 0.0], 1, rows, 0.01, 1.0)
+        assert calls == {"f": 100 * f_per_step,
+                         "f_rows": 100 * f_rows_per_step}
 
 
 def scalar_self_coupled_rmse(drift, diffusion, x0, horizon, steps,
