@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -247,17 +248,17 @@ def _lone_order15_path(f, x, step: float, shifts: np.ndarray,
     for first in range(0, out.shape[0], _LONE_BLOCK):
         last = min(first + _LONE_BLOCK, out.shape[0])
         block = []
-        for k, gdw_k, dzs_k in zip(range(first, last),
-                                   gdw[first:last].tolist(),
-                                   dzs[first:last].tolist()):
+        for k, (gdw_k, dzs_k) in enumerate(zip(gdw[first:last].tolist(),
+                                               dzs[first:last].tolist()),
+                                           first):
             t = k * step
             f0 = f(t, x)
             base = [xi + fi * step for xi, fi in zip(x, f0)]
             t = t + step
-            fs = [f(t, [bi + si for bi, si in zip(base, sh)])
-                  for sh in shifts]
+            # map(add, ...) costs less than a comprehension on a few entries
+            fs = [f(t, list(map(add, base, sh))) for sh in shifts]
             fp, fm, dz = fs[0], fs[m], dzs_k[0]
-            det_sum = [a + b for a, b in zip(fp, fm)]
+            det_sum = list(map(add, fp, fm))
             dz_term = [(a - b) * dz for a, b in zip(fp, fm)]
             for j in range(1, m):
                 fp, fm, dz = fs[j], fs[m + j], dzs_k[j]
