@@ -21,8 +21,8 @@ from .optimizer import (ColdStartCheck, ConvergenceStudy, OptimizationResult,
 from .simulate import (MeasurementSample, RngStream, SimulationError,
                        euler_maruyama, order15_step, polar_normal,
                        sample_measurements, strong_order_15, wiener_pair)
-from .cli import (ConfigError, ExperimentConfig, IseRecord,
-                  MeasurementProtocol, compute_ise, load_config)
+from .cli import (ConfigError, IseRecord, MeasurementProtocol, compute_ise,
+                  load_config)
 
 __version__ = "0.1.0"
 

@@ -1,8 +1,10 @@
 """Batch front-end for the estimation experiments.
 
 Two studies and three utility commands, all driven by a JSON config with a
-versioned schema (unknown keys are rejected so a config file is a complete
-record of what ran):
+versioned schema.  A subcommand accepts exactly the keys of its defaults, so
+a config file is a complete record of what ran, and one function per key
+parses and checks its value when the config loads: a malformed value is a
+config error before anything runs.
 
     benes-convergence   grid-refinement study of the scalar tanh-drift
                         smoothing problem, all three merit kinds
@@ -17,35 +19,35 @@ record of what ran):
 Every output file is written to a temporary name and atomically renamed, so
 files are either complete or absent.  Floats are written with 17 significant
 digits.  CSV outputs are pure functions of (config, seed); wall-clock
-timings go only to summary.json.  Exit codes: 0 success, 1 a validation
-check failed, 2 usage or config error, 3 runtime failure.
+timings go only to summary.json.  Everything runs on one thread; the
+`--threads` option is accepted and ignored.  Exit codes: 0 success, 1 a
+validation check failed, 2 usage or config error, 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import oracle
-from .functionals import (euler_energy, euler_merit, trapezoidal_om,
-                          trapezoidal_merit)
 from .model import (builtin_model, make_uniform_grid, validate_model,
-                    DiscretePath, GridError, InitialDensity, Measurements)
+                    DiscretePath, GridError, Measurements)
 from .optimizer import (convergence_study, initial_path, maximize,
-                        MERIT_KINDS, OptimizerOptions, StudyProblem)
+                        INIT_STRATEGIES, MERIT_KINDS, OptimizerOptions,
+                        StudyProblem)
 from .simulate import (euler_maruyama, sample_measurements, strong_order_15,
                        RngStream, SimulationError)
 
@@ -81,10 +83,8 @@ def _atomic_write(path: Path, chunks) -> None:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -156,30 +156,8 @@ class IseRecord:
             raise ValueError("ISE must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated union of the per-subcommand config schemas."""
-
-    experiment: str
-    model_name: str
-    model_params: dict
-    seed: int
-    output_dir: str
-    levels: tuple = ()
-    kinds: tuple = ()
-    horizon: float = 0.0
-    measurement: Optional[dict] = None       # single fixed observation
-    protocol: Optional[MeasurementProtocol] = None
-    replicates: int = 0
-    sim_step: float = 0.0
-    est_step: float = 0.0
-    scheme: str = "order15"
-    optimizer: OptimizerOptions = OptimizerOptions()
-    init_strategy: str = "meas_interp"
-    cases: int = 100
-    tolerance: float = 1e-6
-
-
+# A subcommand's config accepts exactly the keys of its defaults; a key whose
+# default is null may be set to null.
 DEFAULT_CONFIGS = {
     "benes-convergence": {
         "schema": SCHEMA_VERSION,
@@ -218,6 +196,7 @@ DEFAULT_CONFIGS = {
         "horizon": 5.0,
         "sim_step": 1e-3,
         "scheme": "order15",
+        "protocol": None,
     },
     "gradcheck": {
         "schema": SCHEMA_VERSION,
@@ -235,35 +214,10 @@ DEFAULT_CONFIGS = {
     },
 }
 
-_ALLOWED_KEYS = {
-    "benes-convergence": {"schema", "experiment", "model", "seed",
-                          "output_dir", "levels", "kinds", "horizon",
-                          "measurement", "optimizer", "init_strategy"},
-    "vdp-robust": {"schema", "experiment", "model", "seed", "output_dir",
-                   "horizon", "protocol", "replicates", "sim_step",
-                   "est_step", "optimizer", "init_strategy"},
-    "simulate": {"schema", "experiment", "model", "seed", "output_dir",
-                 "horizon", "sim_step", "scheme", "protocol"},
-    "gradcheck": {"schema", "experiment", "seed", "output_dir", "cases",
-                  "tolerance"},
-    "validate": {"schema", "experiment", "seed", "output_dir"},
-}
 
-_SECTION_KEYS = {
-    "model": {"name", "params"},
-    "measurement": {"time", "value", "variance"},
-    "protocol": {"step", "sigma_y", "sigma_outlier", "p_outlier",
-                 "component"},
-    "optimizer": {f.name for f in dataclass_fields(OptimizerOptions)},
-}
-
-
-def _reject_unknown(section: str, given: dict, allowed: set) -> None:
-    unknown = sorted(set(given) - allowed)
-    if unknown:
-        raise ConfigError("unknown key%s in %s: %s"
-                          % ("s" if len(unknown) > 1 else "", section,
-                             ", ".join(unknown)))
+def _require(ok: bool, message: str, *args) -> None:
+    if not ok:
+        raise ConfigError(message % args)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -276,17 +230,161 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _positive(section: dict, key: str, name: str) -> float:
-    value = float(section[key])
-    if not value > 0.0 or not math.isfinite(value):
-        raise ConfigError("%s must be positive, got %r" % (name, section[key]))
+# A parser takes (value, name, cfg): the merged value of one key, the name
+# to report it by, and the namespace of the keys parsed before it.
+
+def _real(value, name: str) -> float:
+    """A finite JSON number; booleans are not numbers."""
+    _require(type(value) in (int, float)
+             and abs(value) <= sys.float_info.max,
+             "%s must be a finite number, got %r", name, value)
+    return float(value)
+
+
+def _positive(value, name: str, cfg=None) -> float:
+    _require(_real(value, name) > 0.0, "%s must be positive, got %r",
+             name, value)
+    return float(value)
+
+
+def _count(value, name: str, cfg=None) -> int:
+    _require(type(value) is int and value >= 1,
+             "%s must be a positive integer, got %r", name, value)
     return value
+
+
+def _object(value, name: str, required, optional=()) -> dict:
+    """A JSON object with every key of `required` and others only from
+    `optional`."""
+    _require(isinstance(value, dict), "%s must be an object", name)
+    unknown = sorted(set(value) - set(required) - set(optional))
+    _require(not unknown, "unknown key%s in %s: %s",
+             "s" if len(unknown) > 1 else "", name, ", ".join(unknown))
+    missing = [key for key in required if key not in value]
+    _require(not missing, "%s lacks %s", name, ", ".join(missing))
+    return value
+
+
+def _one_of(*choices):
+    def parse(value, name, cfg):
+        _require(value in choices, "%s must be one of %s, got %r",
+                 name, ", ".join(choices), value)
+        return value
+    return parse
+
+
+def _fixed(value, name, cfg):
+    """schema and experiment: the value of the subcommand's defaults."""
+    expected = DEFAULT_CONFIGS[cfg.experiment][name]
+    _require(value == expected and type(value) is type(expected),
+             "config %s %r does not match subcommand %r, which needs %r",
+             name, value, cfg.experiment, expected)
+    return value
+
+
+def _seed(value, name, cfg) -> int:
+    _require(type(value) is int and 0 <= value < 2 ** 64,
+             "seed must be an integer in [0, 2^64)")
+    return value
+
+
+def _output_dir(value, name, cfg) -> str:
+    _require(isinstance(value, str) and value != "",
+             "output_dir must be a nonempty string")
+    return value
+
+
+def _model(value, name, cfg) -> tuple:
+    """The (drift, diffusion, initial density) of a builtin model."""
+    model = _object(value, name, ("name",), ("params",))
+    params = model.get("params", {})
+    _require(isinstance(params, dict), "model params must be an object")
+    try:
+        return builtin_model(model["name"], **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad model section: %s" % exc)
+
+
+def _levels(value, name, cfg) -> tuple:
+    _require(isinstance(value, list) and value != []
+             and all(type(n) is int and n >= 1 for n in value),
+             "levels must be a nonempty list of integers >= 1")
+    _require(all(b > a and b % a == 0 for a, b in zip(value, value[1:])),
+             "levels must be strictly increasing and nested (each dividing "
+             "the next); got %r", value)
+    return tuple(value)
+
+
+def _kinds(value, name, cfg) -> tuple:
+    _require(isinstance(value, list) and value != []
+             and all(kind in MERIT_KINDS for kind in value)
+             and len(set(value)) == len(value),
+             "kinds must be distinct values from %s", MERIT_KINDS)
+    return tuple(value)
+
+
+def _measurement(value, name, cfg) -> Measurements:
+    """The one Gaussian record of benes-convergence."""
+    meas = _object(value, name, ("time", "value", "variance"))
+    t = _real(meas["time"], "measurement time")
+    _require(0.0 <= t <= cfg.horizon,
+             "measurement time %r outside [0, horizon]", t)
+    return Measurements([t], [_real(meas["value"], "measurement value")],
+                        "gaussian",
+                        _positive(meas["variance"], "measurement variance"))
+
+
+def _protocol(value, name, cfg) -> MeasurementProtocol:
+    proto = _object(value, name,
+                    ("step", "sigma_y", "sigma_outlier", "p_outlier"),
+                    ("component",))
+    p_out = _real(proto["p_outlier"], "p_outlier")
+    _require(0.0 <= p_out <= 1.0, "p_outlier must lie in [0, 1], got %r",
+             p_out)
+    dim = cfg.model[0].dim
+    comp = proto.get("component", 0)
+    _require(type(comp) is int and 0 <= comp < dim,
+             "protocol component must be an integer in [0, %d) for this "
+             "model, got %r", dim, comp)
+    return MeasurementProtocol(
+        step=_positive(proto["step"], "measurement step"),
+        sigma_y=_positive(proto["sigma_y"], "sigma_y"),
+        sigma_outlier=_positive(proto["sigma_outlier"], "sigma_outlier"),
+        p_outlier=p_out, component=comp)
+
+
+def _optimizer(value, name, cfg) -> OptimizerOptions:
+    """Integer options are positive integers, the others positive numbers."""
+    fields = dataclass_fields(OptimizerOptions)
+    given = _object(value, name, (), [f.name for f in fields])
+    return OptimizerOptions(**{
+        f.name: (_count if type(f.default) is int else _positive)(
+            given[f.name], "optimizer " + f.name)
+        for f in fields if f.name in given})
+
+
+# every config key and its parser, in the order they run
+_PARSERS = {
+    "schema": _fixed, "experiment": _fixed, "seed": _seed,
+    "output_dir": _output_dir, "model": _model, "horizon": _positive,
+    "sim_step": _positive, "est_step": _positive, "levels": _levels,
+    "kinds": _kinds, "measurement": _measurement, "protocol": _protocol,
+    "replicates": _count, "scheme": _one_of("euler", "order15"),
+    "optimizer": _optimizer, "init_strategy": _one_of(*INIT_STRATEGIES),
+    "cases": _count, "tolerance": _positive,
+}
 
 
 def load_config(experiment: str, config_path: Optional[str] = None,
                 seed: Optional[int] = None,
-                output_dir: Optional[str] = None) -> ExperimentConfig:
-    """Merge a user config over the subcommand defaults and validate it."""
+                output_dir: Optional[str] = None) -> SimpleNamespace:
+    """Merge a user config over the subcommand defaults and parse it.
+
+    Returns one attribute per key of the defaults, holding its parsed
+    value: `model` is the (drift, diffusion, initial density) triple of
+    `builtin_model`, `measurement` a `Measurements`, `protocol` a
+    `MeasurementProtocol` or None, and `optimizer` an `OptimizerOptions`.
+    """
     raw = {}
     if config_path is not None:
         try:
@@ -296,135 +394,20 @@ def load_config(experiment: str, config_path: Optional[str] = None,
             raise ConfigError("cannot read config: %s" % exc)
         except json.JSONDecodeError as exc:
             raise ConfigError("config is not valid JSON: %s" % exc)
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-    merged = _merge(DEFAULT_CONFIGS[experiment], raw)
-    if seed is not None:
-        merged["seed"] = seed
-    if output_dir is not None:
-        merged["output_dir"] = output_dir
-    return _validate_config(experiment, merged, raw)
-
-
-def _validate_config(experiment: str, cfg: dict,
-                     raw: dict) -> ExperimentConfig:
-    _reject_unknown("config", raw, _ALLOWED_KEYS[experiment])
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ConfigError("schema must be %d, got %r"
-                          % (SCHEMA_VERSION, cfg.get("schema")))
-    if cfg.get("experiment") != experiment:
-        raise ConfigError("config experiment %r does not match subcommand %r"
-                          % (cfg.get("experiment"), experiment))
-    for section in ("model", "measurement", "protocol", "optimizer"):
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError("%s must be an object" % section)
-            _reject_unknown(section, raw[section], _SECTION_KEYS[section])
-
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
-    out_dir = cfg["output_dir"]
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output_dir must be a nonempty string")
-
-    model = cfg.get("model", {"name": "", "params": {}})
-    kwargs = dict(experiment=experiment, model_name=model.get("name", ""),
-                  model_params=dict(model.get("params", {})), seed=seed,
-                  output_dir=out_dir)
-
-    if "horizon" in cfg:
-        kwargs["horizon"] = _positive(cfg, "horizon", "horizon")
-    if "sim_step" in cfg:
-        kwargs["sim_step"] = _positive(cfg, "sim_step", "sim_step")
-    if "est_step" in cfg:
-        kwargs["est_step"] = _positive(cfg, "est_step", "est_step")
-
-    if "levels" in cfg:
-        levels = cfg["levels"]
-        if (not isinstance(levels, (list, tuple)) or not levels
-                or not all(isinstance(n, int) and n >= 1 for n in levels)):
-            raise ConfigError("levels must be a nonempty list of integers >= 1")
-        for a, b in zip(levels, levels[1:]):
-            if b <= a or b % a != 0:
-                raise ConfigError(
-                    "levels must be strictly increasing and nested "
-                    "(each dividing the next); got %r" % (list(levels),))
-        kwargs["levels"] = tuple(levels)
-
-    if "kinds" in cfg:
-        kinds = cfg["kinds"]
-        if (not isinstance(kinds, (list, tuple)) or not kinds
-                or len(set(kinds)) != len(kinds)
-                or not set(kinds) <= set(MERIT_KINDS)):
-            raise ConfigError("kinds must be distinct values from %s"
-                              % (MERIT_KINDS,))
-        kwargs["kinds"] = tuple(kinds)
-
-    if "measurement" in cfg:
-        meas = cfg["measurement"]
-        t = float(meas["time"])
-        if not 0.0 <= t <= kwargs["horizon"]:
-            raise ConfigError("measurement time %r outside [0, horizon]" % t)
-        _positive(meas, "variance", "measurement variance")
-        kwargs["measurement"] = {"time": t, "value": float(meas["value"]),
-                                 "variance": float(meas["variance"])}
-
-    if "protocol" in cfg:
-        proto = cfg["protocol"]
-        p_out = float(proto["p_outlier"])
-        if not 0.0 <= p_out <= 1.0:
-            raise ConfigError("p_outlier must lie in [0, 1], got %r" % p_out)
-        kwargs["protocol"] = MeasurementProtocol(
-            step=_positive(proto, "step", "measurement step"),
-            sigma_y=_positive(proto, "sigma_y", "sigma_y"),
-            sigma_outlier=_positive(proto, "sigma_outlier", "sigma_outlier"),
-            p_outlier=p_out,
-            component=proto.get("component", 0))
-
-    if "replicates" in cfg:
-        reps = cfg["replicates"]
-        if not isinstance(reps, int) or reps < 1:
-            raise ConfigError("replicates must be a positive integer")
-        kwargs["replicates"] = reps
-
-    if "scheme" in cfg:
-        if cfg["scheme"] not in ("euler", "order15"):
-            raise ConfigError("scheme must be 'euler' or 'order15'")
-        kwargs["scheme"] = cfg["scheme"]
-
-    if "optimizer" in cfg:
-        opts = cfg["optimizer"]
-        try:
-            kwargs["optimizer"] = OptimizerOptions(
-                **{k: (int(v) if k in ("max_iter", "max_backtracks")
-                       else float(v)) for k, v in opts.items()})
-        except TypeError as exc:
-            raise ConfigError("bad optimizer options: %s" % exc)
-
-    if "init_strategy" in cfg:
-        kwargs["init_strategy"] = str(cfg["init_strategy"])
-    if "cases" in cfg:
-        if not isinstance(cfg["cases"], int) or cfg["cases"] < 1:
-            raise ConfigError("cases must be a positive integer")
-        kwargs["cases"] = cfg["cases"]
-    if "tolerance" in cfg:
-        kwargs["tolerance"] = _positive(cfg, "tolerance", "tolerance")
-
-    config = ExperimentConfig(**kwargs)
-    if config.model_name:
-        try:
-            drift, _, _ = builtin_model(config.model_name,
-                                        **config.model_params)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("bad model section: %s" % exc)
-        comp = None if config.protocol is None else config.protocol.component
-        if comp is not None and (type(comp) is not int
-                                 or not 0 <= comp < drift.dim):
-            raise ConfigError("protocol component must be an integer in "
-                              "[0, %d) for model %r, got %r"
-                              % (drift.dim, config.model_name, comp))
-    return config
+        _require(isinstance(raw, dict), "config must be a JSON object")
+    defaults = DEFAULT_CONFIGS[experiment]
+    merged = _merge(defaults, raw)
+    for key, flag in (("seed", seed), ("output_dir", output_dir)):
+        if flag is not None:
+            merged[key] = flag
+    _object(merged, "config", (), defaults)
+    cfg = SimpleNamespace(experiment=experiment)     # read by _fixed
+    for key, parse in _PARSERS.items():
+        if key in defaults:
+            value = merged[key]
+            setattr(cfg, key, None if value is None and defaults[key] is None
+                    else parse(value, key, cfg))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +433,20 @@ def compute_ise(times: np.ndarray, states: np.ndarray,
 # ---------------------------------------------------------------------------
 # benes-convergence
 
-def run_benes_convergence(config: ExperimentConfig, threads: int = 1) -> int:
+def run_benes_convergence(config: SimpleNamespace) -> int:
     """Grid-refinement study of the single-measurement smoothing problem."""
-    drift, diffusion, init = builtin_model(config.model_name,
-                                           **config.model_params)
-    meas = config.measurement
-    measurements = Measurements([meas["time"]], [meas["value"]], "gaussian",
-                                meas["variance"])
+    drift, diffusion, init = config.model
     problem = StudyProblem(drift=drift, diffusion=diffusion, init=init,
-                           measurements=measurements,
+                           measurements=config.measurement,
                            horizon=config.horizon)
     out = Path(config.output_dir)
-
-    def one_kind(kind):
+    results = []
+    for kind in config.kinds:
         t0 = time.perf_counter()
         study = convergence_study(problem, kind, config.levels,
                                   options=config.optimizer,
                                   init_strategy=config.init_strategy)
-        return kind, study, time.perf_counter() - t0
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(one_kind, config.kinds))
+        results.append((kind, study, time.perf_counter() - t0))
 
     conv_rows = []
     summary = {"schema": SCHEMA_VERSION, "experiment": config.experiment,
@@ -514,8 +490,7 @@ def run_benes_convergence(config: ExperimentConfig, threads: int = 1) -> int:
 _SIM_BLOCK = 16
 
 
-def _simulate_block(config: ExperimentConfig, drift, diffusion, init,
-                    reps: range) -> dict:
+def _simulate_block(config: SimpleNamespace, reps: range) -> dict:
     """Simulate the replicates `reps` as one batch.
 
     Each replicate draws its initial state, its noise and later its
@@ -523,6 +498,7 @@ def _simulate_block(config: ExperimentConfig, drift, diffusion, init,
     on the block it is stepped in.  Returns, for each replicate, either
     (times, states, generator) or the exception that failed it.
     """
+    drift, diffusion, init = config.model
     rngs = [RngStream(config.seed, rep).generator() for rep in reps]
     try:
         x0 = np.stack([init.sample(rng) for rng in rngs])
@@ -534,10 +510,11 @@ def _simulate_block(config: ExperimentConfig, drift, diffusion, init,
             for i, rep in enumerate(reps)}
 
 
-def _vdp_replicate(config: ExperimentConfig, drift, diffusion, init,
-                   replicate: int, times: np.ndarray, states: np.ndarray,
+def _vdp_replicate(config: SimpleNamespace, replicate: int,
+                   times: np.ndarray, states: np.ndarray,
                    rng: np.random.Generator):
     """Measure and estimate one simulated replicate."""
+    drift, diffusion, init = config.model
     proto = config.protocol
     sample = sample_measurements(times, states, proto.step, proto.sigma_y,
                                  proto.sigma_outlier, proto.p_outlier, rng,
@@ -551,9 +528,8 @@ def _vdp_replicate(config: ExperimentConfig, drift, diffusion, init,
                            measurements=records, horizon=config.horizon)
     start = initial_path(grid, init, records, config.init_strategy,
                          drift.dim)
-    out = {"replicate": replicate, "outliers": int(sample.outlier.sum()),
-           "n_meas": int(sample.outlier.size), "records": [],
-           "solves": {}}
+    out = {"outliers": int(sample.outlier.sum()),
+           "n_meas": int(sample.outlier.size), "records": [], "solves": {}}
     # the trapezoidal solve is warm-started from the Euler maximizer; both
     # are reported at their own tolerance
     for kind in ("euler", "trapezoidal"):
@@ -568,52 +544,37 @@ def _vdp_replicate(config: ExperimentConfig, drift, diffusion, init,
     return out
 
 
-def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
+def run_vdp_robust(config: SimpleNamespace) -> int:
     """Monte Carlo ISE comparison of the two discrete merit estimators.
 
     Replicates are simulated in blocks of at most `_SIM_BLOCK`, stepped
-    together; the measurement and solve phase of a block's replicates then
-    runs on `threads` worker threads.
+    together, and then measured and solved one by one.
     """
     out = Path(config.output_dir)
-    drift, diffusion, init = builtin_model(config.model_name,
-                                           **config.model_params)
     results = {}
     failures = {}
-
-    def one_replicate(item):
-        rep, simulated = item
-        if isinstance(simulated, Exception):
-            return rep, None, simulated
-        try:
-            return rep, _vdp_replicate(config, drift, diffusion, init, rep,
-                                       *simulated), None
-        except Exception as exc:          # logged, excluded from summaries
-            return rep, None, exc
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        for first in range(0, config.replicates, _SIM_BLOCK):
-            block = _simulate_block(
-                config, drift, diffusion, init,
-                range(first, min(first + _SIM_BLOCK, config.replicates)))
-            for rep, payload, err in pool.map(one_replicate, block.items()):
-                if err is not None:
-                    log.warning("replicate %d failed: %s", rep, err)
-                    failures[rep] = "%s: %s" % (type(err).__name__, err)
-                else:
-                    results[rep] = payload
-            del block             # frees its paths before the next block
+    for first in range(0, config.replicates, _SIM_BLOCK):
+        block = _simulate_block(
+            config, range(first, min(first + _SIM_BLOCK, config.replicates)))
+        for rep, simulated in block.items():
+            try:
+                if isinstance(simulated, Exception):
+                    raise simulated
+                results[rep] = _vdp_replicate(config, rep, *simulated)
+            except Exception as exc:      # logged, excluded from summaries
+                log.warning("replicate %d failed: %s", rep, exc)
+                failures[rep] = "%s: %s" % (type(exc).__name__, exc)
+        del block                 # frees its paths before the next block
 
     if not results:
         log.error("all %d replicates failed", config.replicates)
         return EXIT_RUNTIME
 
-    rows = []
-    for rep in sorted(results):
-        for rec in results[rep]["records"]:
-            rows.append("%d,%s,%s" % (rec.replicate, rec.kind,
-                                      _fmt(rec.ise)))
-    _write_csv(out / "ise.csv", ["replicate", "kind", "ise"], rows)
+    records = [rec for rep in sorted(results)
+               for rec in results[rep]["records"]]
+    _write_csv(out / "ise.csv", ["replicate", "kind", "ise"],
+               ("%d,%s,%s" % (rec.replicate, rec.kind, _fmt(rec.ise))
+                for rec in records))
 
     summary = {"schema": SCHEMA_VERSION, "experiment": config.experiment,
                "seed": config.seed, "replicates": config.replicates,
@@ -624,8 +585,7 @@ def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
     total_meas = sum(r["n_meas"] for r in results.values())
     summary["outlier_fraction"] = total_out / total_meas
     for kind in ("euler", "trapezoidal"):
-        ises = [rec.ise for rep in sorted(results)
-                for rec in results[rep]["records"] if rec.kind == kind]
+        ises = [rec.ise for rec in records if rec.kind == kind]
         p5, p50, p95 = np.percentile(ises, [5.0, 50.0, 95.0])
         solves = [results[rep]["solves"][kind] for rep in sorted(results)]
         summary["kinds"][kind] = {
@@ -636,8 +596,7 @@ def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
             "evaluations": [evals for _, _, evals in solves],
         }
         summary["timings_s"][kind] = float(sum(
-            rec.runtime for rep in sorted(results)
-            for rec in results[rep]["records"] if rec.kind == kind))
+            rec.runtime for rec in records if rec.kind == kind))
     _write_json(out / "summary.json", summary)
     log.info("wrote %s (%d replicates, %d failed)", out / "ise.csv",
              config.replicates, len(failures))
@@ -647,9 +606,8 @@ def run_vdp_robust(config: ExperimentConfig, threads: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def run_simulate(config: ExperimentConfig) -> int:
-    drift, diffusion, init = builtin_model(config.model_name,
-                                           **config.model_params)
+def run_simulate(config: SimpleNamespace) -> int:
+    drift, diffusion, init = config.model
     rng = RngStream(config.seed, 0).generator()
     stepper = strong_order_15 if config.scheme == "order15" else euler_maruyama
     times, states, failed = stepper(drift, diffusion, init.sample(rng)[None],
@@ -678,70 +636,8 @@ def run_simulate(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # gradient and validation suites
 
-def gradient_suite(n_cases: int = 100, seed: int = 20240501,
-                   tolerance: float = 1e-6):
-    """Relative FD error of every analytic gradient over random cases.
-
-    Returns a list of (name, max relative error, within tolerance) triples
-    covering the four path merits on the builtin models plus the
-    heavy-tailed measurement score.
-    """
-    rng = np.random.default_rng(seed)
-    merit_funcs = (("euler_energy", euler_energy, False),
-                   ("euler_merit", euler_merit, True),
-                   ("trapezoidal_om", trapezoidal_om, False),
-                   ("trapezoidal_merit", trapezoidal_merit, True))
-    worst = {name: 0.0 for name, _, _ in merit_funcs}
-    worst["student_t_loglik"] = 0.0
-    # the Student-t score alone: one record at t=0 under a flat prior
-    unit = make_uniform_grid(1.0, 1)
-    no_prior = InitialDensity(log_nu=lambda z: 0.0, grad_log_nu=np.zeros_like)
-    model_names = ("benes", "ou", "vdp")
-    for case in range(n_cases):
-        name = model_names[case % len(model_names)]
-        drift, diffusion, init = builtin_model(name)
-        n_seg = int(rng.integers(4, 51))
-        horizon = float(rng.uniform(0.5, 3.0))
-        meas_t = float(rng.uniform(0.0, 1.0)) * horizon
-        grid = make_uniform_grid(horizon, n_seg, meas_times=(meas_t,))
-        states = np.cumsum(rng.uniform(-0.4, 0.4,
-                                       size=(grid.times.size, drift.dim)),
-                           axis=0)
-        path = DiscretePath(grid=grid, states=states)
-        measurements = Measurements([meas_t], [float(rng.uniform(-1.5, 1.5))],
-                                    "gaussian", float(rng.uniform(0.1, 1.0)))
-        for fname, func, with_density in merit_funcs:
-            if with_density:
-                value = func(path, drift, diffusion, init, measurements)
-            else:
-                value = func(path, drift, diffusion)
-
-            def scalar(flat, f=func, wd=with_density):
-                p = DiscretePath(grid=grid,
-                                 states=flat.reshape(states.shape))
-                if wd:
-                    return f(p, drift, diffusion, init, measurements).value
-                return f(p, drift, diffusion).value
-
-            fd = oracle.fd_gradient(scalar, states.reshape(-1))
-            num = np.linalg.norm(fd - value.gradient.reshape(-1))
-            den = max(1.0, np.linalg.norm(fd))
-            worst[fname] = max(worst[fname], num / den)
-        x = rng.uniform(-2.0, 2.0, size=drift.dim)
-        score = Measurements([0.0], [float(rng.uniform(-2.0, 2.0))],
-                             "student_t", float(rng.uniform(0.2, 1.0)))
-        _, grad, _ = score.log_density(DiscretePath(unit, [x, x]), no_prior)
-        fd = oracle.fd_gradient(
-            lambda z: score.log_density(DiscretePath(unit, [z, x]),
-                                        no_prior)[0], x)
-        num = np.linalg.norm(fd - grad[0])
-        worst["student_t_loglik"] = max(worst["student_t_loglik"],
-                                        num / max(1.0, np.linalg.norm(fd)))
-    return [(name, err, err <= tolerance) for name, err in worst.items()]
-
-
-def run_gradcheck(config: ExperimentConfig) -> int:
-    checks = gradient_suite(config.cases, config.seed, config.tolerance)
+def run_gradcheck(config: SimpleNamespace) -> int:
+    checks = oracle.gradient_suite(config.cases, config.seed, config.tolerance)
     ok = True
     for name, err, passed in checks:
         print("%s %-18s max rel err %.3e (tol %.0e)"
@@ -750,45 +646,7 @@ def run_gradcheck(config: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-LINEAR_CHECK_TIMES = (0.4, 0.8, 1.2, 1.6, 2.0)
-LINEAR_CHECK_VALUES = (-0.908, 0.577, 1.062, 0.405, 1.362)
-LINEAR_CHECK_VAR = 0.25
-
-
-def linear_gaussian_check(n_segments: int = 256):
-    """Maximize both merits on a linear problem and compare against the
-    exact-discretization smoother.
-
-    Returns (trapezoidal sup error, Euler sup error) at the grid points.
-    The drift divergence is constant here, so both discretizations target
-    the same limiting curve and only their rates differ.
-    """
-    drift, diffusion, init = builtin_model("ou")
-    horizon = 2.0
-    measurements = Measurements(LINEAR_CHECK_TIMES, LINEAR_CHECK_VALUES,
-                                "gaussian", LINEAR_CHECK_VAR)
-    grid = make_uniform_grid(horizon, n_segments,
-                             meas_times=LINEAR_CHECK_TIMES)
-    # the builtin ou drift is -a*x; the smoother spec takes the raw
-    # coefficient of dX = A X dt
-    spec = oracle.LinearGaussianSpec(a=-1.0, g=1.0, x0_mean=0.0, x0_cov=1.0)
-    smoothed = oracle.rts_smoother(
-        spec, grid, [(t, y, 1.0, LINEAR_CHECK_VAR)
-                     for t, y in zip(LINEAR_CHECK_TIMES,
-                                     LINEAR_CHECK_VALUES)])
-    problem = StudyProblem(drift=drift, diffusion=diffusion, init=init,
-                           measurements=measurements, horizon=horizon)
-    options = OptimizerOptions(grad_tol=1e-10, max_iter=4000)
-    start = initial_path(grid, init, measurements, "meas_interp", 1)
-    errors = {}
-    for kind in ("trapezoidal", "euler"):
-        result = maximize(problem.objective(kind), start, options)
-        errors[kind] = float(np.max(np.abs(
-            result.path.states[:, 0] - smoothed.means[:, 0])))
-    return errors["trapezoidal"], errors["euler"]
-
-
-def run_validate(config: ExperimentConfig) -> int:
+def run_validate(config: SimpleNamespace) -> int:
     """All cross-checks of the pipeline against independent references."""
     checks = []
 
@@ -799,11 +657,11 @@ def run_validate(config: ExperimentConfig) -> int:
                        "div err %.2e, jac rel err %.2e"
                        % (report.max_div_error, report.max_jac_rel_error)))
 
-    for gname, err, passed in gradient_suite(25, config.seed):
+    for gname, err, passed in oracle.gradient_suite(25, config.seed):
         checks.append(("gradient:%s" % gname, passed,
                        "max rel err %.3e" % err))
 
-    trap_err, euler_err = linear_gaussian_check()
+    trap_err, euler_err = oracle.linear_gaussian_check()
     checks.append(("smoother:trapezoidal", trap_err <= 1e-3,
                    "sup err %.3e (tol 1e-3)" % trap_err))
     checks.append(("smoother:euler", euler_err <= 5e-3,
@@ -875,9 +733,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="master seed override")
         p.add_argument("--out", metavar="DIR",
                        help="output directory override")
-        p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="worker threads for the solve phase; affects "
-                            "scheduling only, never results")
+        p.add_argument("--threads", type=int, metavar="K",
+                       help="accepted and ignored")
     return parser
 
 
@@ -893,16 +750,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    runners = {
-        "benes-convergence": lambda: run_benes_convergence(config,
-                                                           args.threads),
-        "vdp-robust": lambda: run_vdp_robust(config, args.threads),
-        "simulate": lambda: run_simulate(config),
-        "gradcheck": lambda: run_gradcheck(config),
-        "validate": lambda: run_validate(config),
-    }
+    runners = {"benes-convergence": run_benes_convergence,
+               "vdp-robust": run_vdp_robust, "simulate": run_simulate,
+               "gradcheck": run_gradcheck, "validate": run_validate}
     try:
-        return runners[args.command]()
+        return runners[args.command](config)
     except (GridError, SimulationError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_RUNTIME

@@ -195,6 +195,9 @@ def _solve_block_tridiagonal(diag: np.ndarray, lower: np.ndarray,
     return x
 
 
+INIT_STRATEGIES = ("zero", "prior_mean", "meas_interp")
+
+
 def initial_path(grid: TimeGrid, init: InitialDensity,
                  measurements: Measurements = Measurements(),
                  strategy: str = "meas_interp", dim: int = 1) -> DiscretePath:
@@ -221,7 +224,8 @@ def initial_path(grid: TimeGrid, init: InitialDensity,
     if strategy == "prior_mean":
         return DiscretePath(grid, np.tile(mode, (n_pts, 1)))
     if strategy != "meas_interp":
-        raise ValueError("unknown initial-path strategy %r" % strategy)
+        raise ValueError("unknown initial-path strategy %r; choose from %s"
+                         % (strategy, ", ".join(INIT_STRATEGIES)))
 
     states = np.tile(mode, (n_pts, 1))
     if measurements.times.size:

@@ -1,10 +1,13 @@
-"""Independent reference computations used to check the estimation code.
+"""Independent reference computations, and the checks of the estimation code
+against them.
 
-Nothing here shares evaluation machinery with the merit functions or the
-optimiser: gradients are checked against plain central differences, linear
-Gaussian problems against a Kalman/RTS smoother with exact discretisation,
-the scalar tanh-drift model against its closed-form transition density, and
-the quadrature of the continuous functionals against a finer rule.
+The references share no evaluation machinery with the merit functions or
+the optimiser: plain central differences for gradients, a Kalman/RTS
+smoother with exact discretisation for linear Gaussian problems, the
+closed-form transition density of the scalar tanh-drift model, and a finer
+rule for the quadrature of the continuous functionals.  `gradient_suite`
+and `linear_gaussian_check` run the merits and the optimiser against the
+first two.
 """
 
 from __future__ import annotations
@@ -16,7 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import functionals
-from .model import DiscretePath, Diffusion, DriftModel, TimeGrid
+from .model import (builtin_model, make_uniform_grid, DiscretePath,
+                    Diffusion, DriftModel, InitialDensity, Measurements,
+                    TimeGrid)
+from .optimizer import (initial_path, maximize, OptimizerOptions,
+                        StudyProblem)
 from .simulate import polar_normal
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -48,6 +55,62 @@ def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray,
                 "function value not finite at probe of component %d" % i)
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def gradient_suite(n_cases: int = 100, seed: int = 20240501,
+                   tolerance: float = 1e-6):
+    """Relative FD error of every analytic gradient over random cases.
+
+    Returns a list of (name, max relative error, within tolerance) triples
+    covering the four path merits on the builtin models plus the
+    heavy-tailed measurement score.
+    """
+    rng = np.random.default_rng(seed)
+    merit_funcs = (("euler_energy", functionals.euler_energy, False),
+                   ("euler_merit", functionals.euler_merit, True),
+                   ("trapezoidal_om", functionals.trapezoidal_om, False),
+                   ("trapezoidal_merit", functionals.trapezoidal_merit,
+                    True))
+    worst = {name: 0.0 for name, _, _ in merit_funcs}
+    worst["student_t_loglik"] = 0.0
+    # the Student-t score alone: one record at t=0 under a flat prior
+    unit = make_uniform_grid(1.0, 1)
+    no_prior = InitialDensity(log_nu=lambda z: 0.0, grad_log_nu=np.zeros_like)
+    model_names = ("benes", "ou", "vdp")
+    for case in range(n_cases):
+        name = model_names[case % len(model_names)]
+        drift, diffusion, init = builtin_model(name)
+        n_seg = int(rng.integers(4, 51))
+        horizon = float(rng.uniform(0.5, 3.0))
+        meas_t = float(rng.uniform(0.0, 1.0)) * horizon
+        grid = make_uniform_grid(horizon, n_seg, meas_times=(meas_t,))
+        states = np.cumsum(rng.uniform(-0.4, 0.4,
+                                       size=(grid.times.size, drift.dim)),
+                           axis=0)
+        path = DiscretePath(grid=grid, states=states)
+        measurements = Measurements([meas_t], [float(rng.uniform(-1.5, 1.5))],
+                                    "gaussian", float(rng.uniform(0.1, 1.0)))
+        for fname, func, with_density in merit_funcs:
+            args = ((drift, diffusion, init, measurements) if with_density
+                    else (drift, diffusion))
+            value = func(path, *args)
+            fd = fd_gradient(lambda flat: func(
+                DiscretePath(grid, flat.reshape(states.shape)), *args).value,
+                states.reshape(-1))
+            err = (np.linalg.norm(fd - value.gradient.reshape(-1))
+                   / max(1.0, np.linalg.norm(fd)))
+            worst[fname] = max(worst[fname], err)
+        x = rng.uniform(-2.0, 2.0, size=drift.dim)
+        score = Measurements([0.0], [float(rng.uniform(-2.0, 2.0))],
+                             "student_t", float(rng.uniform(0.2, 1.0)))
+        _, grad, _ = score.log_density(DiscretePath(unit, [x, x]), no_prior)
+        fd = fd_gradient(
+            lambda z: score.log_density(DiscretePath(unit, [z, x]),
+                                        no_prior)[0], x)
+        num = np.linalg.norm(fd - grad[0])
+        worst["student_t_loglik"] = max(worst["student_t_loglik"],
+                                        num / max(1.0, np.linalg.norm(fd)))
+    return [(name, err, err <= tolerance) for name, err in worst.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +360,44 @@ def rts_smoother(spec: LinearGaussianSpec, grid: TimeGrid,
     return SmootherResult(times=times.copy(), means=means, covs=covs)
 
 
+LINEAR_CHECK_TIMES = (0.4, 0.8, 1.2, 1.6, 2.0)
+LINEAR_CHECK_VALUES = (-0.908, 0.577, 1.062, 0.405, 1.362)
+LINEAR_CHECK_VAR = 0.25
+
+
+def linear_gaussian_check(n_segments: int = 256):
+    """Maximize both merits on a linear problem and compare against the
+    exact-discretization smoother.
+
+    Returns (trapezoidal sup error, Euler sup error) at the grid points.
+    The drift divergence is constant here, so both discretizations target
+    the same limiting curve and only their rates differ.
+    """
+    drift, diffusion, init = builtin_model("ou")
+    horizon = 2.0
+    measurements = Measurements(LINEAR_CHECK_TIMES, LINEAR_CHECK_VALUES,
+                                "gaussian", LINEAR_CHECK_VAR)
+    grid = make_uniform_grid(horizon, n_segments,
+                             meas_times=LINEAR_CHECK_TIMES)
+    # the builtin ou drift is -a*x; the smoother spec takes the raw
+    # coefficient of dX = A X dt
+    spec = LinearGaussianSpec(a=-1.0, g=1.0, x0_mean=0.0, x0_cov=1.0)
+    smoothed = rts_smoother(
+        spec, grid, [(t, y, 1.0, LINEAR_CHECK_VAR)
+                     for t, y in zip(LINEAR_CHECK_TIMES,
+                                     LINEAR_CHECK_VALUES)])
+    problem = StudyProblem(drift=drift, diffusion=diffusion, init=init,
+                           measurements=measurements, horizon=horizon)
+    options = OptimizerOptions(grad_tol=1e-10, max_iter=4000)
+    start = initial_path(grid, init, measurements, "meas_interp", 1)
+    errors = {}
+    for kind in ("trapezoidal", "euler"):
+        result = maximize(problem.objective(kind), start, options)
+        errors[kind] = float(np.max(np.abs(
+            result.path.states[:, 0] - smoothed.means[:, 0])))
+    return errors["trapezoidal"], errors["euler"]
+
+
 # ---------------------------------------------------------------------------
 # Quadrature refinement check
 # ---------------------------------------------------------------------------
@@ -325,3 +426,4 @@ def quadrature_refine_check(path: DiscretePath, drift: DriftModel,
         om_default=functionals.continuous_om(path, drift, diffusion),
         om_fine=functionals.continuous_om(path, drift, diffusion, fine),
     )
+

@@ -4,7 +4,8 @@ Each test prints exactly one line, "CRITERION n PASS: ..." or
 "CRITERION n FAIL: ...".  Run with `pytest tests/test_acceptance.py -s` to
 see the lines as they complete; without -s pytest still shows the line for
 any failing criterion.  The two CLI studies (criteria 3 and 6) each run
-twice with different --threads so criterion 8 can compare their outputs.
+twice so criterion 8 can compare their outputs: benes-convergence as a plain
+rerun, vdp-robust once more with every replicate simulated on its own.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from sdepath import cli
-from sdepath.cli import gradient_suite, linear_gaussian_check
+from sdepath.oracle import gradient_suite, linear_gaussian_check
 from sdepath.functionals import (
     QuadratureRule,
     energy_merit,
@@ -62,28 +63,34 @@ def read_convergence_csv(path):
 
 @pytest.fixture(scope="session")
 def benes_runs(tmp_path_factory):
-    """Default single-measurement refinement study, run with 1 and 2 threads."""
+    """Default single-measurement refinement study, run twice."""
     base = tmp_path_factory.mktemp("benes-study")
-    dirs = (str(base / "threads1"), str(base / "threads2"))
+    dirs = (str(base / "first"), str(base / "rerun"))
     t0 = time.perf_counter()
-    rc = cli.main(["benes-convergence", "--out", dirs[0], "--threads", "1"])
+    rc = cli.main(["benes-convergence", "--out", dirs[0]])
     elapsed = time.perf_counter() - t0
     assert rc == 0
-    assert cli.main(["benes-convergence", "--out", dirs[1],
-                     "--threads", "2"]) == 0
+    assert cli.main(["benes-convergence", "--out", dirs[1]]) == 0
     return dirs, elapsed
 
 
 @pytest.fixture(scope="session")
 def vdp_runs(tmp_path_factory):
-    """Default contaminated-measurement replicate study, 1 and 2 threads."""
+    """Default contaminated-measurement replicate study, run in simulation
+    blocks of the default size and again in blocks of one replicate, which
+    step as lone paths through the point drift."""
     base = tmp_path_factory.mktemp("vdp-study")
-    dirs = (str(base / "threads1"), str(base / "threads2"))
+    dirs = (str(base / "blocks"), str(base / "lone"))
     t0 = time.perf_counter()
-    rc = cli.main(["vdp-robust", "--out", dirs[0], "--threads", "1"])
+    rc = cli.main(["vdp-robust", "--out", dirs[0]])
     elapsed = time.perf_counter() - t0
     assert rc == 0
-    assert cli.main(["vdp-robust", "--out", dirs[1], "--threads", "2"]) == 0
+    block = cli._SIM_BLOCK
+    cli._SIM_BLOCK = 1
+    try:
+        assert cli.main(["vdp-robust", "--out", dirs[1]]) == 0
+    finally:
+        cli._SIM_BLOCK = block
     return dirs, elapsed
 
 
@@ -243,7 +250,7 @@ def test_criterion_7_strong_order():
            % (slope_self, slope_ref, max(moment_errs), elapsed))
 
 
-def test_criterion_8_thread_count_invariance(benes_runs, vdp_runs):
+def test_criterion_8_batch_size_invariance(benes_runs, vdp_runs):
     def csv_hashes(directory):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(Path(directory).glob("*.csv"))}
@@ -257,6 +264,7 @@ def test_criterion_8_thread_count_invariance(benes_runs, vdp_runs):
         mismatches += [name for name in h1 if h1[name] != h2[name]]
 
     ok = not mismatches
-    report(8, ok, "%d CSV files from both studies, 1 vs 2 worker threads: %s"
-           % (n_files, "all SHA256-identical" if ok
+    report(8, ok, "%d CSV files from both studies, benes rerun and vdp "
+           "simulation blocks of %d vs 1 replicate: %s"
+           % (n_files, cli._SIM_BLOCK, "all SHA256-identical" if ok
               else "MISMATCH in %s" % ", ".join(mismatches)))

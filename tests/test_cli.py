@@ -15,7 +15,7 @@ from sdepath.cli import (
     compute_ise,
     load_config,
 )
-from sdepath.model import DiscretePath, make_uniform_grid
+from sdepath.model import DiscretePath, Measurements, make_uniform_grid
 from sdepath.optimizer import OptimizerOptions
 from sdepath.simulate import RngStream, polar_normal
 
@@ -36,8 +36,22 @@ class TestLoadConfig:
         assert cfg.levels == (16, 32, 64, 128, 256, 512, 1024)
         assert cfg.kinds == ("euler", "trapezoidal", "exact")
         assert cfg.seed == 20240501
-        assert cfg.measurement == {"time": 5.0, "value": 1.5,
-                                   "variance": 0.16}
+        meas = cfg.measurement
+        assert isinstance(meas, Measurements)
+        assert (meas.times.tolist(), meas.values.tolist(), meas.law,
+                meas.scale) == ([5.0], [1.5], "gaussian", 0.16)
+        drift, _, _ = cfg.model
+        assert drift.dim == 1
+
+    def test_every_default_key_has_a_parser(self):
+        for defaults in cli.DEFAULT_CONFIGS.values():
+            assert set(defaults) <= set(cli._PARSERS)
+
+    def test_null_only_where_the_default_is_null(self, tmp_path):
+        path = write_config(tmp_path, {"protocol": None})
+        assert load_config("simulate", path).protocol is None
+        with pytest.raises(ConfigError, match="protocol"):
+            load_config("vdp-robust", path)
 
     def test_partial_section_override_keeps_other_defaults(self, tmp_path):
         path = write_config(tmp_path, {"optimizer": {"grad_tol": 1e-4}})
@@ -319,14 +333,14 @@ class TestBenesConvergenceCommand:
         assert cold["evaluations"] >= cold["iterations"] + 1
         assert_no_temp_residue(out)
 
-    def test_two_kinds_two_levels_thread_invariant(self, tmp_path):
+    def test_two_kinds_two_levels_bitwise_rerun(self, tmp_path):
         cfg = write_config(tmp_path, {"levels": [8, 16],
                                       "kinds": ["euler", "trapezoidal"]})
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         assert cli.main(["benes-convergence", "--config", cfg,
-                         "--out", str(out1), "--threads", "1"]) == 0
+                         "--out", str(out1)]) == 0
         assert cli.main(["benes-convergence", "--config", cfg,
-                         "--out", str(out2), "--threads", "2"]) == 0
+                         "--out", str(out2)]) == 0
         assert ((out1 / "convergence.csv").read_bytes()
                 == (out2 / "convergence.csv").read_bytes())
         for name in ("paths_euler_8.csv", "paths_euler_16.csv",
@@ -354,7 +368,7 @@ class TestVdpRobustCommand:
         assert cli.main(["vdp-robust", "--config", cfg,
                          "--out", str(out1)]) == 0
         assert cli.main(["vdp-robust", "--config", cfg,
-                         "--out", str(out2), "--threads", "2"]) == 0
+                         "--out", str(out2)]) == 0
         body = (out1 / "ise.csv").read_text().splitlines()
         assert body[0] == "replicate,kind,ise"
         assert [l.split(",")[1] for l in body[1:]] == ["euler", "trapezoidal"]
@@ -486,7 +500,62 @@ class TestVdpRobustCommand:
         assert not (out / "ise.csv").exists()
 
 
+# values that must fail at load: wrong types and nulls, bools as integers,
+# a fractional max_iter, a non-positive option (a negative grad_tol would
+# make every solve end max_iter), and an unknown start strategy (otherwise
+# found only after simulating)
+MALFORMED = {
+    "horizon-string": ("benes-convergence", {"horizon": "x"}),
+    "horizon-null": ("benes-convergence", {"horizon": None}),
+    "measurement-time-string": ("benes-convergence",
+                                {"measurement": {"time": "abc"}}),
+    "grad-tol-string": ("benes-convergence",
+                        {"optimizer": {"grad_tol": "x"}}),
+    "model-params-list": ("benes-convergence", {"model": {"params": [1]}}),
+    "protocol-incomplete": ("simulate", {"protocol": {"step": 0.1}}),
+    "seed-bool": ("simulate", {"seed": True}),
+    "levels-bool": ("benes-convergence", {"levels": [True, 2]}),
+    "max-iter-float": ("benes-convergence", {"optimizer": {"max_iter": 2.9}}),
+    "grad-tol-negative": ("benes-convergence",
+                          {"optimizer": {"grad_tol": -1.0}}),
+    "backtrack-zero": ("vdp-robust", {"optimizer": {"backtrack": 0.0},
+                                      "replicates": 1}),
+    "init-strategy-benes": ("benes-convergence", {"init_strategy": "bogus"}),
+    "init-strategy-vdp": ("vdp-robust", {"init_strategy": "bogus",
+                                         "replicates": 1}),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, case):
+        experiment, payload = MALFORMED[case]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, payload", [
+        ("simulate", {"horizon": 1.0, "sim_step": 1e-2}),
+        ("benes-convergence", {"levels": [8, 16], "kinds": ["euler"]}),
+        ("vdp-robust", {"horizon": 2.0, "replicates": 2, "sim_step": 1e-3,
+                        "est_step": 0.1,
+                        "optimizer": {"grad_tol": 1e-3, "max_iter": 4000}}),
+    ])
+    def test_threads_flag_accepted_and_ignored(self, tmp_path, experiment,
+                                               payload):
+        # the benchmark passes --threads 1; the flag must not change a byte
+        cfg = write_config(tmp_path, payload)
+        outputs = []
+        for flag in ([], ["--threads", "1"], ["--threads", "4"]):
+            out = tmp_path / ("out%d" % len(outputs))
+            assert cli.main([experiment, "--config", cfg,
+                             "--out", str(out)] + flag) == 0
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.glob("*.csv"))})
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
     def test_config_errors_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"bogus": 1})
         assert cli.main(["simulate", "--config", cfg,

@@ -526,7 +526,7 @@ class TestArgmaxAgreementUnderConstantDivergence:
 
 class TestGradientSuite:
     def test_all_discrete_merits_pass(self):
-        from sdepath.cli import gradient_suite
+        from sdepath.oracle import gradient_suite
 
         rows = gradient_suite(25, seed=20240815, tolerance=1e-6)
         names = {name for name, _, _ in rows}
