@@ -8,8 +8,7 @@ sample-path simulation, and independent oracles for cross-checking.
 
 from .model import (TimeGrid, DiscretePath, Diffusion, InitialDensity,
                     DriftModel, Measurements, GridError, ValidationReport,
-                    builtin_model, make_uniform_grid, refine_grid,
-                    validate_model)
+                    builtin_model, make_uniform_grid, validate_model)
 from .functionals import (MeritValue, MeshTooCoarseError, QuadratureRule,
                           benes_exact_merit, continuous_energy, continuous_om,
                           energy_merit, euler_energy, euler_merit, map_merit,

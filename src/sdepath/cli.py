@@ -43,8 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .model import (builtin_model, make_uniform_grid, validate_model,
-                    DiscretePath, GridError, Measurements)
+from .model import (builtin_model, uniform_steps, validate_model,
+                    DiscretePath, GridError, Measurements, _snap_tol)
 from .optimizer import (convergence_study, initial_path, maximize,
                         INIT_STRATEGIES, MERIT_KINDS, OptimizerOptions,
                         StudyProblem)
@@ -247,6 +247,16 @@ def _positive(value, name: str, cfg=None) -> float:
     return float(value)
 
 
+def _step(value, name: str, cfg) -> float:
+    """A positive step that divides the horizon."""
+    step = _positive(value, name)
+    try:
+        uniform_steps(cfg.horizon, step)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (name, exc))
+    return step
+
+
 def _count(value, name: str, cfg=None) -> int:
     _require(type(value) is int and value >= 1,
              "%s must be a positive integer, got %r", name, value)
@@ -347,7 +357,7 @@ def _protocol(value, name, cfg) -> MeasurementProtocol:
              "protocol component must be an integer in [0, %d) for this "
              "model, got %r", dim, comp)
     return MeasurementProtocol(
-        step=_positive(proto["step"], "measurement step"),
+        step=_step(proto["step"], "measurement step", cfg),
         sigma_y=_positive(proto["sigma_y"], "sigma_y"),
         sigma_outlier=_positive(proto["sigma_outlier"], "sigma_outlier"),
         p_outlier=p_out, component=comp)
@@ -367,7 +377,7 @@ def _optimizer(value, name, cfg) -> OptimizerOptions:
 _PARSERS = {
     "schema": _fixed, "experiment": _fixed, "seed": _seed,
     "output_dir": _output_dir, "model": _model, "horizon": _positive,
-    "sim_step": _positive, "est_step": _positive, "levels": _levels,
+    "sim_step": _step, "est_step": _step, "levels": _levels,
     "kinds": _kinds, "measurement": _measurement, "protocol": _protocol,
     "replicates": _count, "scheme": _one_of("euler", "order15"),
     "optimizer": _optimizer, "init_strategy": _one_of(*INIT_STRATEGIES),
@@ -421,7 +431,7 @@ def compute_ise(times: np.ndarray, states: np.ndarray,
     piecewise-linearly; componentwise errors are summed.
     """
     times = np.asarray(times, dtype=float)
-    tol = 1e-9 * max(1.0, abs(float(times[-1])))
+    tol = _snap_tol(float(times[-1]))
     gt = estimate.grid.times
     if gt[0] < times[0] - tol or gt[-1] > times[-1] + tol:
         raise ValueError("estimate grid extends outside the simulated span")
@@ -454,10 +464,9 @@ def run_benes_convergence(config: SimpleNamespace) -> int:
                "kinds": {}}
     for kind, study, elapsed in results:
         for level, dist in zip(study.levels, study.distances):
-            times = problem.grid(level.n_segments).times
             _write_csv(out / ("paths_%s_%d.csv" % (kind, level.n_segments)),
                        _path_header(drift.dim),
-                       _path_rows(times, level.path.states))
+                       _path_rows(level.path.grid.times, level.path.states))
             conv_rows.append(",".join([kind, str(level.n_segments),
                                        "" if dist is None else _fmt(dist),
                                        _fmt(level.merit)]))
@@ -521,11 +530,9 @@ def _vdp_replicate(config: SimpleNamespace, replicate: int,
                                  component=proto.component)
     records = Measurements(sample.times, sample.values, "student_t",
                            proto.sigma_y, proto.component)
-    n_segments = int(round(config.horizon / config.est_step))
-    grid = make_uniform_grid(config.horizon, n_segments,
-                             meas_times=sample.times)
     problem = StudyProblem(drift=drift, diffusion=diffusion, init=init,
                            measurements=records, horizon=config.horizon)
+    grid = problem.grid(uniform_steps(config.horizon, config.est_step))
     start = initial_path(grid, init, records, config.init_strategy,
                          drift.dim)
     out = {"outliers": int(sample.outlier.sum()),

@@ -6,19 +6,21 @@ a bundle of measurement records.  Candidate state paths are discrete:
 a vector of states attached to the points of a time grid, interpreted as
 the piecewise-linear interpolant between those points.
 
-This module defines the containers for all of these, the grid constructors
-(uniform grids, nested refinement) with the one lookup that places an
-instant on a grid, the built-in example models and a self-check routine
+This module defines the containers for all of these, the uniform grid
+constructor, the one lookup that places an instant on a grid
+(`TimeGrid.index_of`), the one count of the steps that make up a horizon
+(`uniform_steps`), the built-in example models and a self-check routine
 that compares the analytic Jacobian and divergence of a drift model against
-finite differences.  Measurements are one array bundle, `Measurements`,
-with two noise laws: additive Gaussian noise and the heavy-tailed Student-t
-score of the robustness experiment.
+finite differences.  Nested grids are uniform grids at multiples of one
+segment count, matched through `index_of`.  Measurements are one array
+bundle, `Measurements`, with two noise laws: additive Gaussian noise and
+the heavy-tailed Student-t score of the robustness experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,8 +31,28 @@ class GridError(ValueError):
 
 
 # Relative tolerance used to decide that a requested instant coincides with
-# an existing grid point.
+# an existing grid point, and that a step divides a horizon.
 _SNAP_RTOL = 1e-9
+
+# Budget for the mesh-versus-count requirement N * max(delta) <= c3, as a
+# multiple of the horizon T.  Uniform grids give N * max(delta) == T.
+_MESH_BUDGET = 10.0
+
+
+def _snap_tol(horizon: float) -> float:
+    """Absolute snap tolerance for instants on [0, horizon]."""
+    return _SNAP_RTOL * max(1.0, abs(horizon))
+
+
+def uniform_steps(horizon: float, step: float) -> int:
+    """Number of steps of length `step` that make up [0, horizon]; raises
+    ValueError unless `step` divides `horizon` up to the snap tolerance."""
+    if step <= 0.0 or horizon <= 0.0:
+        raise ValueError("step and horizon must be positive")
+    n_steps = int(round(horizon / step))
+    if n_steps < 1 or abs(n_steps * step - horizon) > _snap_tol(horizon):
+        raise ValueError("step %r does not divide horizon %r" % (step, horizon))
+    return n_steps
 
 
 def _nearest(times: np.ndarray, query: np.ndarray):
@@ -39,31 +61,25 @@ def _nearest(times: np.ndarray, query: np.ndarray):
     j = np.clip(np.searchsorted(times, query), 1, times.size - 1)
     left_closer = query - times[j - 1] <= times[j] - query
     idx = np.where(left_closer, j - 1, j)
-    tol = _SNAP_RTOL * max(1.0, float(times[-1]))
+    tol = _snap_tol(float(times[-1]))
     return idx, np.abs(times[idx] - query) <= tol
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time points on [0, T] with marked measurement instants.
+    """Strictly increasing time points on [0, T].
+
+    `index_of` is the one way to place an instant on the grid.
 
     Attributes:
         times: array of shape (N+1,), with times[0] == 0.
-        meas_index: sorted integer positions of the measurement instants
-            inside `times`.  May be empty.
     """
 
     times: np.ndarray
-    meas_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    # Budget constant for the mesh-versus-count requirement N * max(delta) <= c3,
-    # expressed as a multiple of the horizon T.  Uniform grids give N * max(delta) == T.
-    c3_factor: float = 10.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        meas = np.asarray(self.meas_index, dtype=int)
-        object.__setattr__(self, "meas_index", meas)
         if times.ndim != 1 or times.size < 2:
             raise GridError("a time grid needs at least two points")
         if times[0] != 0.0:
@@ -72,17 +88,12 @@ class TimeGrid:
         if not np.all(deltas > 0.0):
             raise GridError("grid times must be strictly increasing")
         n_seg = times.size - 1
-        budget = self.c3_factor * times[-1]
+        budget = _MESH_BUDGET * times[-1]
         if n_seg * deltas.max() > budget * (1.0 + 1e-12):
             raise GridError(
                 "grid violates the mesh budget: N*max(delta)=%.6g exceeds "
                 "c3=%.6g; use a more even partition" % (n_seg * deltas.max(), budget)
             )
-        if meas.size:
-            if np.any(meas < 0) or np.any(meas > n_seg):
-                raise GridError("measurement index out of range")
-            if np.any(np.diff(meas) <= 0):
-                raise GridError("measurement indices must be sorted and unique")
         # query-times bytes -> grid indices; merits ask for the same records
         # on every evaluation
         object.__setattr__(self, "_index_memo", {})
@@ -116,37 +127,28 @@ class TimeGrid:
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
 
-    @property
-    def mesh(self) -> float:
-        return float(self.deltas.max())
-
-    @property
-    def meas_times(self) -> np.ndarray:
-        return self.times[self.meas_index]
-
 
 def make_uniform_grid(horizon: float, n_segments: int,
-                      meas_times: Sequence[float] = (),
-                      c3_factor: float = 10.0) -> TimeGrid:
+                      meas_times: Sequence[float] = ()) -> TimeGrid:
     """Build a uniform grid on [0, horizon] containing every measurement instant.
 
     Measurement instants that fall (up to rounding) on an existing grid point
-    are snapped to it; others are inserted, making the grid locally non-uniform.
+    are snapped to it; others are inserted, making the grid locally
+    non-uniform.  `index_of` then finds every instant.  Grids built at
+    multiples of one N are nested up to rounding: `index_of` on the finer
+    grid finds every point of the coarser one.
 
     Args:
         horizon: final time T > 0.
         n_segments: number of segments N >= 1 of the base uniform grid.
         meas_times: measurement instants, each inside [0, T].
-
-    Returns:
-        TimeGrid whose meas_index marks each requested instant exactly once.
     """
     if horizon <= 0.0:
         raise GridError("horizon must be positive")
     if n_segments < 1:
         raise GridError("need at least one segment")
     times = np.linspace(0.0, horizon, n_segments + 1)
-    tol = _SNAP_RTOL * max(1.0, horizon)
+    tol = _snap_tol(horizon)
     # Python sorting here: numpy's sort kernels add to the peak memory of
     # short runs
     wanted = np.array(sorted(set(float(t) for t in meas_times)))
@@ -157,31 +159,7 @@ def make_uniform_grid(horizon: float, n_segments: int,
     if wanted.size:
         _, on_grid = _nearest(times, wanted)
         times = np.array(sorted(times.tolist() + wanted[~on_grid].tolist()))
-    meas_index, _ = _nearest(times, wanted)
-    return TimeGrid(times, meas_index, c3_factor=c3_factor)
-
-
-def refine_grid(grid: TimeGrid, factor: int) -> TimeGrid:
-    """Split every segment of `grid` into `factor` equal parts.
-
-    The coarse points are reused bitwise, so the refined grid is nested in the
-    original and measurement instants keep their identity (index k becomes
-    k * factor).
-    """
-    if factor < 1:
-        raise GridError("refinement factor must be >= 1")
-    if factor == 1:
-        return grid
-    t = grid.times
-    pieces = []
-    for k in range(grid.n_segments):
-        frac = np.arange(factor) / factor
-        pieces.append(t[k] + frac * (t[k + 1] - t[k]))
-    pieces.append(t[-1:])
-    new_times = np.concatenate(pieces)
-    # Guard against rounding reordering; coarse endpoints are exact by construction.
-    new_times[::factor] = t
-    return TimeGrid(new_times, grid.meas_index * factor, c3_factor=grid.c3_factor)
+    return TimeGrid(times)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from . import functionals
 from .functionals import MeritValue, MeshTooCoarseError
 from .model import (DiscretePath, Diffusion, DriftModel, InitialDensity,
-                    Measurements, TimeGrid, make_uniform_grid)
+                    Measurements, TimeGrid, make_uniform_grid, _snap_tol)
 
 Objective = Callable[[DiscretePath], MeritValue]
 
@@ -45,10 +45,12 @@ Objective = Callable[[DiscretePath], MeritValue]
 class OptimizerOptions:
     grad_tol: float = 1e-8
     max_iter: int = 500
-    armijo: float = 1e-4          # sufficient-increase fraction
-    backtrack: float = 0.5        # step contraction factor
-    max_backtracks: int = 60
-    init_step: float = 1.0
+
+
+_INIT_STEP = 1.0                  # first trial: the full Gauss-Newton step
+_BACKTRACK = 0.5                  # step contraction factor
+_MAX_BACKTRACKS = 60
+_ARMIJO = 1e-4                    # sufficient-increase fraction
 
 
 @dataclass(frozen=True)
@@ -104,21 +106,21 @@ def maximize(objective: Objective, start: DiscretePath,
 
         d = _ascent_direction(current, grad)
         slope = float(d @ grad)
-        alpha = options.init_step
+        alpha = _INIT_STEP
         accepted = None
-        for _ in range(options.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial_x = x + alpha * d
             trial = try_evaluate(trial_x)
-            if trial.finite and trial.value >= current.value + options.armijo * alpha * slope:
+            if trial.finite and trial.value >= current.value + _ARMIJO * alpha * slope:
                 accepted = (trial_x, trial)
                 break
-            alpha *= options.backtrack
+            alpha *= _BACKTRACK
         # a backtracked trial that only ties the merit passed because the
         # demanded increase fell below the merit's round-off: the merit can
         # no longer tell steps apart, and further steps would shuffle the
         # last bits of the path without end.  (A full step may tie: near
         # the maximiser its increase is below round-off while |g| falls.)
-        if accepted is None or (alpha < options.init_step
+        if accepted is None or (alpha < _INIT_STEP
                                 and accepted[1].value <= current.value):
             status = "line_search_failure"
             break
@@ -233,7 +235,7 @@ def initial_path(grid: TimeGrid, init: InitialDensity,
         order = np.lexsort((measurements.values, measurements.times))
         ts = measurements.times[order]
         ys = measurements.values[order]
-        if ts[0] > 1e-9 * max(1.0, grid.horizon):
+        if ts[0] > _snap_tol(grid.horizon):
             ts = np.concatenate([[0.0], ts])
             ys = np.concatenate([[mode[j]], ys])
         states[:, j] = np.interp(grid.times, ts, ys)

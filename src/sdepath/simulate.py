@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Diffusion, DriftModel
+from .model import Diffusion, DriftModel, uniform_steps
 
 
 class SimulationError(RuntimeError):
@@ -90,15 +90,6 @@ def polar_normal(rng: np.random.Generator, size) -> np.ndarray:
     return out.reshape(shape) if shape else out[0]
 
 
-def _check_horizon(step: float, horizon: float) -> int:
-    if step <= 0.0 or horizon <= 0.0:
-        raise ValueError("step and horizon must be positive")
-    n_steps = int(round(horizon / step))
-    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("step %r does not divide horizon %r" % (step, horizon))
-    return n_steps
-
-
 def _check_rows(x0, rngs) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[0] != len(rngs) or x.shape[0] == 0:
@@ -140,7 +131,7 @@ def euler_maruyama(drift: DriftModel, diffusion: Diffusion, x0,
     (times, states, failures): states has shape (R, n_steps+1, n), and
     failures maps each row whose state became non-finite to its
     SimulationError (that row's states are then meaningless)."""
-    n_steps = _check_horizon(step, horizon)
+    n_steps = uniform_steps(horizon, step)
     x0 = _check_rows(x0, rngs)
     g = diffusion.g
     # all Wiener increments drawn up front; one draw per step would thrash
@@ -280,7 +271,7 @@ def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
     step, as a lone path would, and a row's path does not depend on the
     other rows.  A single row is stepped through `drift.f` (see the module
     docstring), more rows through `drift.f_rows`."""
-    n_steps = _check_horizon(step, horizon)
+    n_steps = uniform_steps(horizon, step)
     x0 = _check_rows(x0, rngs)
     g = diffusion.g
     m = g.shape[1]
@@ -328,14 +319,15 @@ def sample_measurements(times: np.ndarray, states: np.ndarray,
                         component: int = 0) -> MeasurementSample:
     """Sample noisy observations of one state component on a regular schedule.
 
-    Observation instants are k*meas_step for k = 0..round(T/meas_step); each
-    value is the path component there plus Gaussian noise whose standard
-    deviation is sigma_outlier with probability p_outlier, else sigma_y.
+    Observation instants are k*meas_step for k = 0..T/meas_step, where
+    meas_step must divide T = times[-1]; each value is the path component
+    there plus Gaussian noise whose standard deviation is sigma_outlier with
+    probability p_outlier, else sigma_y.
     """
     if not 0.0 <= p_outlier <= 1.0:
         raise ValueError("outlier probability must lie in [0, 1]")
     horizon = float(times[-1])
-    n_meas = int(round(horizon / meas_step)) + 1
+    n_meas = uniform_steps(horizon, meas_step) + 1
     mt = np.arange(n_meas) * meas_step
     u = np.interp(mt, times, states[:, component])
     flags = rng.random(n_meas) < p_outlier

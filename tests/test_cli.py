@@ -489,11 +489,17 @@ class TestVdpRobustCommand:
                (out / "ise.csv").read_text().splitlines()[1:]]
         assert ise == ["0", "0", "2", "2"]
 
-    def test_all_replicates_failing_is_runtime_error(self, tmp_path):
-        # simulation step does not divide the horizon: every replicate
-        # raises, nothing can be summarised
-        cfg = self.tiny_config(tmp_path, sim_step=0.3, horizon=1.0,
-                               replicates=2)
+    def test_all_replicates_failing_is_runtime_error(self, tmp_path,
+                                                    monkeypatch):
+        # every replicate starts where the vdp drift overflows: each fails,
+        # and nothing can be summarised
+        real = cli.strong_order_15
+
+        def blow_up_every_row(drift, diffusion, x0, *args):
+            return real(drift, diffusion, np.full(np.shape(x0), 1e80), *args)
+
+        monkeypatch.setattr(cli, "strong_order_15", blow_up_every_row)
+        cfg = self.tiny_config(tmp_path, replicates=2)
         out = tmp_path / "out"
         rc = cli.main(["vdp-robust", "--config", cfg, "--out", str(out)])
         assert rc == 3
@@ -502,8 +508,10 @@ class TestVdpRobustCommand:
 
 # values that must fail at load: wrong types and nulls, bools as integers,
 # a fractional max_iter, a non-positive option (a negative grad_tol would
-# make every solve end max_iter), and an unknown start strategy (otherwise
-# found only after simulating)
+# make every solve end max_iter), an unknown start strategy (otherwise
+# found only after simulating), a removed line-search option, and a step
+# that does not divide the horizon (otherwise a silently rounded grid, a
+# measurement past the end of the path, or a failure after simulating)
 MALFORMED = {
     "horizon-string": ("benes-convergence", {"horizon": "x"}),
     "horizon-null": ("benes-convergence", {"horizon": None}),
@@ -523,6 +531,20 @@ MALFORMED = {
     "init-strategy-benes": ("benes-convergence", {"init_strategy": "bogus"}),
     "init-strategy-vdp": ("vdp-robust", {"init_strategy": "bogus",
                                          "replicates": 1}),
+    "armijo-removed": ("benes-convergence", {"optimizer": {"armijo": 1e-4}}),
+    "max-backtracks-removed": ("benes-convergence",
+                               {"optimizer": {"max_backtracks": 60}}),
+    "init-step-removed": ("vdp-robust", {"optimizer": {"init_step": 1.0},
+                                         "replicates": 1}),
+    "est-step-not-dividing": ("vdp-robust", {"est_step": 0.3,
+                                             "replicates": 1}),
+    "sim-step-not-dividing": ("simulate", {"sim_step": 0.3, "horizon": 1.0}),
+    "protocol-step-simulate": ("simulate", {
+        "horizon": 1.0, "sim_step": 1e-2,
+        "protocol": {"step": 0.35, "sigma_y": 0.5, "sigma_outlier": 3.0,
+                     "p_outlier": 0.25}}),
+    "protocol-step-vdp": ("vdp-robust", {"horizon": 2.0, "replicates": 1,
+                                         "protocol": {"step": 0.35}}),
 }
 
 

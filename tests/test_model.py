@@ -15,7 +15,7 @@ from sdepath.model import (
     TimeGrid,
     builtin_model,
     make_uniform_grid,
-    refine_grid,
+    uniform_steps,
     validate_model,
 )
 
@@ -24,31 +24,32 @@ class TestUniformGrid:
     def test_plain_uniform(self):
         grid = make_uniform_grid(1.0, 2)
         np.testing.assert_array_equal(grid.times, [0.0, 0.5, 1.0])
-        assert grid.meas_index.size == 0
         assert grid.n_segments == 2
 
     def test_measurement_on_existing_point_snaps(self):
         grid = make_uniform_grid(5.0, 5, meas_times=[5.0])
         np.testing.assert_array_equal(grid.times, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(grid.meas_index, [5])
+        np.testing.assert_array_equal(grid.index_of([5.0]), [5])
 
     def test_measurement_off_grid_is_inserted(self):
         grid = make_uniform_grid(1.0, 2, meas_times=[0.3])
         np.testing.assert_allclose(grid.times, [0.0, 0.3, 0.5, 1.0])
-        np.testing.assert_array_equal(grid.meas_index, [1])
+        np.testing.assert_array_equal(grid.index_of([0.3]), [1])
         # Insertion grows the grid; the base points survive bitwise.
         assert grid.times.size == 4
         assert 0.5 in grid.times
 
     def test_duplicate_measurement_times_collapse(self):
         grid = make_uniform_grid(1.0, 4, meas_times=[0.25, 0.25])
-        np.testing.assert_array_equal(grid.meas_index, [1])
+        np.testing.assert_array_equal(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(grid.index_of([0.25, 0.25]), [1, 1])
 
     def test_deterministic_construction(self):
-        a = make_uniform_grid(16.0, 1600, meas_times=np.arange(0.1, 16.0, 0.1))
-        b = make_uniform_grid(16.0, 1600, meas_times=np.arange(0.1, 16.0, 0.1))
+        meas = np.arange(0.1, 16.0, 0.1)
+        a = make_uniform_grid(16.0, 1600, meas_times=meas)
+        b = make_uniform_grid(16.0, 1600, meas_times=meas)
         np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.meas_index, b.meas_index)
+        np.testing.assert_array_equal(a.index_of(meas), b.index_of(meas))
 
     def test_bad_inputs(self):
         with pytest.raises(GridError):
@@ -76,7 +77,9 @@ class TestIndexOf:
         query = np.arange(161) * 0.1
         expected = [int(np.argmin(np.abs(grid.times - t))) for t in query]
         np.testing.assert_array_equal(grid.index_of(query), expected)
-        np.testing.assert_array_equal(grid.index_of(query), grid.meas_index)
+        # the records of a uniform grid built with them sit every 10 points
+        np.testing.assert_array_equal(grid.index_of(query),
+                                      np.arange(161) * 10)
 
     def test_snaps_within_tolerance_and_repeats(self):
         grid = make_uniform_grid(1.0, 4)
@@ -97,32 +100,52 @@ class TestIndexOf:
             idx[0] = 3
 
 
-class TestRefineGrid:
-    def test_halving(self):
-        grid = make_uniform_grid(1.0, 2)
-        fine = refine_grid(grid, 2)
-        np.testing.assert_array_equal(fine.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+class TestNestedGrids:
+    """The benes ladder: uniform grids on T = 5 at N = 16..1024, each with
+    the measurement at 5.0, as `StudyProblem.grid` builds them."""
 
-    def test_nested_bitwise(self):
-        grid = make_uniform_grid(5.0, 7, meas_times=[1.3])
-        fine = refine_grid(refine_grid(grid, 2), 2)
-        # Every coarse point appears bitwise in the refined grid.
-        assert np.all(np.isin(grid.times, fine.times))
+    LADDER = [16, 32, 64, 128, 256, 512, 1024]
 
-    def test_measurement_index_scales(self):
-        grid = make_uniform_grid(1.0, 2, meas_times=[0.3])
-        fine = refine_grid(grid, 4)
-        np.testing.assert_array_equal(fine.meas_index, grid.meas_index * 4)
-        t_meas = fine.times[fine.meas_index[0]]
-        assert t_meas == grid.times[grid.meas_index[0]]
+    def test_coarse_points_found_at_k_times_their_index(self):
+        # each level warm-starts the next one of the ladder
+        grids = [make_uniform_grid(5.0, n, meas_times=[5.0])
+                 for n in self.LADDER]
+        for coarse, fine in zip(grids, grids[1:]):
+            k = fine.n_segments // coarse.n_segments
+            np.testing.assert_array_equal(
+                fine.index_of(coarse.times),
+                np.arange(coarse.times.size) * k)
+        for grid in grids:
+            assert grid.index_of([5.0])[0] == grid.n_segments
 
-    def test_factor_one_is_identity(self):
-        grid = make_uniform_grid(1.0, 3)
-        assert refine_grid(grid, 1) is grid
+    def test_every_level_nests_in_the_finest(self):
+        # sup_distance compares every level with the finest
+        finest = make_uniform_grid(5.0, self.LADDER[-1], meas_times=[5.0])
+        for n in self.LADDER[:-1]:
+            coarse = make_uniform_grid(5.0, n, meas_times=[5.0])
+            np.testing.assert_array_equal(
+                finest.index_of(coarse.times),
+                np.arange(n + 1) * (self.LADDER[-1] // n))
 
-    def test_bad_factor(self):
-        with pytest.raises(GridError):
-            refine_grid(make_uniform_grid(1.0, 2), 0)
+
+class TestUniformSteps:
+    def test_counts_dividing_steps(self):
+        assert uniform_steps(16.0, 1e-2) == 1600
+        assert uniform_steps(16.0, 5e-4) == 32000
+        assert uniform_steps(1.0, 0.1) == 10
+        assert uniform_steps(2.0, 2.0) == 1
+
+    @pytest.mark.parametrize("horizon, step", [
+        (16.0, 0.3), (1.0, 0.35), (2.0, 0.35), (1.0, 2.0)])
+    def test_step_that_does_not_divide_raises(self, horizon, step):
+        with pytest.raises(ValueError, match="does not divide horizon"):
+            uniform_steps(horizon, step)
+
+    @pytest.mark.parametrize("horizon, step", [
+        (1.0, 0.0), (1.0, -0.1), (0.0, 0.1), (-1.0, 0.1)])
+    def test_non_positive_raises(self, horizon, step):
+        with pytest.raises(ValueError, match="must be positive"):
+            uniform_steps(horizon, step)
 
 
 class TestDiscretePath:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sdepath import functionals as fn
+from sdepath import optimizer
 from sdepath.functionals import MeritValue, MeshTooCoarseError
 from sdepath.model import (
     DiscretePath,
@@ -36,13 +37,15 @@ def diagonal_curvature(weights):
     return diag, np.zeros((n_pts - 1, dim, dim))
 
 
-def bowl_objective(center):
-    """Concave quadratic peaking at `center` (same shape as path states)."""
+def bowl_objective(center, curvature=2.0):
+    """Concave quadratic peaking at `center` (same shape as path states),
+    reporting `curvature` (its true minus-Hessian is 2) on the diagonal."""
 
     def objective(path):
         d = path.states - center
         return MeritValue(value=-float(np.sum(d * d)), gradient=-2.0 * d,
-                          curvature=diagonal_curvature(np.full(d.shape, 2.0)))
+                          curvature=diagonal_curvature(
+                              np.full(d.shape, curvature)))
 
     return objective
 
@@ -97,57 +100,59 @@ class TestMaximize:
             maximize(objective, DiscretePath(grid, np.full((3, 1), 2.0)))
 
     def test_wrong_gradient_sign_fails_line_search(self):
+        # finite only at the start, which the trials never return to (they
+        # are alpha * g away from zero): no trial is accepted, and the
+        # search gives up after its whole backtrack budget
         grid = make_uniform_grid(1.0, 2)
 
         def objective(path):
-            # gradient points away from the maximiser; every trial step
-            # decreases the merit and the search gives up.  The backtrack
-            # budget is capped so the step cannot shrink to where the
-            # sufficient-increase comparison falls below float resolution.
-            x = path.states
-            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x,
-                              curvature=diagonal_curvature(
-                                  np.full(x.shape, 2.0)))
+            if np.any(path.states != 0.0):
+                return MeritValue(value=-math.inf, gradient=None)
+            return MeritValue(value=0.0, gradient=np.ones_like(path.states))
 
-        res = maximize(objective, DiscretePath(grid, np.ones((3, 1))),
-                       OptimizerOptions(max_backtracks=40))
-        assert res.status == "line_search_failure"
-
-    def test_step_below_round_off_ends_line_search(self):
-        # the wrong-sign objective with the default backtrack budget: the
-        # step shrinks until the trial path equals the start, where the
-        # sufficient-increase comparison "passes" in round-off; the solve
-        # must stop there, not repeat that to max_iter
-        grid = make_uniform_grid(1.0, 2)
-
-        def objective(path):
-            x = path.states
-            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x,
-                              curvature=diagonal_curvature(
-                                  np.full(x.shape, 2.0)))
-
-        options = OptimizerOptions()
-        res = maximize(objective, DiscretePath(grid, np.ones((3, 1))),
-                       options)
+        res = maximize(objective, DiscretePath(grid, np.zeros((3, 1))))
         assert res.status == "line_search_failure"
         assert res.iterations == 0
-        assert res.evaluations <= 1 + options.max_backtracks
+        assert res.evaluations == 1 + optimizer._MAX_BACKTRACKS
+
+    def test_step_below_round_off_ends_line_search(self):
+        # gradient points away from the maximiser: the step shrinks until
+        # the trial path equals the start, where the sufficient-increase
+        # comparison "passes" in round-off; the solve must stop there, not
+        # repeat that to max_iter
+        grid = make_uniform_grid(1.0, 2)
+
+        def objective(path):
+            x = path.states
+            return MeritValue(value=-float(np.sum(x * x)), gradient=2.0 * x,
+                              curvature=diagonal_curvature(
+                                  np.full(x.shape, 2.0)))
+
+        res = maximize(objective, DiscretePath(grid, np.ones((3, 1))))
+        assert res.status == "line_search_failure"
+        assert res.iterations == 0
+        assert res.evaluations <= 1 + optimizer._MAX_BACKTRACKS
         np.testing.assert_array_equal(res.path.states, np.ones((3, 1)))
 
     def test_mesh_error_treated_as_barrier(self):
-        # objective raises where |x| is large; with a huge initial step the
-        # first trials land there and the backtracking must recover
+        # objective raises where |x| is large; a curvature 2^20 times below
+        # the bowl's true 2 makes the first Gauss-Newton step 2^20 times too
+        # long, so the first trials land there and the backtracking must
+        # recover
         grid = make_uniform_grid(1.0, 2)
         center = np.full((3, 1), 0.5)
-        inner = bowl_objective(center)
+        inner = bowl_objective(center, curvature=2.0 ** -19)
+        raised = []
 
         def objective(path):
             if np.any(np.abs(path.states) > 10.0):
+                raised.append(1)
                 raise MeshTooCoarseError("out of the validated region")
             return inner(path)
 
         res = maximize(objective, DiscretePath(grid, np.zeros((3, 1))),
-                       OptimizerOptions(init_step=1e6, max_iter=200))
+                       OptimizerOptions(max_iter=200))
+        assert raised
         assert res.status == "converged"
         np.testing.assert_allclose(res.path.states, center, atol=1e-7)
 

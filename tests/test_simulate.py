@@ -577,6 +577,14 @@ class TestSampleMeasurements:
             sample_measurements(times, states, 0.1, 0.1, 1.0, 1.5,
                                 RngStream(0).generator())
 
+    @pytest.mark.parametrize("meas_step", [0.35, 0.0, -0.1])
+    def test_step_must_divide_horizon(self, meas_step):
+        # 0.35 on [0, 1] would put a record at 1.05, past the path's end
+        times, states = self.make_path(horizon=1.0)
+        with pytest.raises(ValueError, match="divide|positive"):
+            sample_measurements(times, states, meas_step, 0.1, 1.0, 0.5,
+                                RngStream(0).generator())
+
 
 def student_t_score(y, x, sigma_y, component=0):
     """(value, gradient) of the Student-t law of `Measurements` for one
