@@ -13,10 +13,9 @@ from .functionals import (MeritValue, MeshTooCoarseError, QuadratureRule,
                           benes_exact_merit, continuous_energy, continuous_om,
                           energy_merit, euler_energy, euler_merit, map_merit,
                           trapezoidal_merit, trapezoidal_om)
-from .optimizer import (ColdStartCheck, ConvergenceStudy, OptimizationResult,
-                        OptimizerOptions, StudyLevel, StudyProblem,
-                        convergence_study, initial_path, maximize,
-                        sup_distance)
+from .optimizer import (ConvergenceStudy, OptimizationResult,
+                        OptimizerOptions, StudyProblem, convergence_study,
+                        initial_path, maximize, sup_distance)
 from .simulate import (MeasurementSample, RngStream, SimulationError,
                        euler_maruyama, order15_step, polar_normal,
                        sample_measurements, strong_order_15, wiener_pair)

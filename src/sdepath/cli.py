@@ -463,25 +463,28 @@ def run_benes_convergence(config: SimpleNamespace) -> int:
                "seed": config.seed, "levels": list(config.levels),
                "kinds": {}}
     for kind, study, elapsed in results:
-        for level, dist in zip(study.levels, study.distances):
-            _write_csv(out / ("paths_%s_%d.csv" % (kind, level.n_segments)),
+        # a level's grid has more than n_seg segments when the measurement
+        # instant is not one of its points
+        for n_seg, level, dist in zip(config.levels, study.levels,
+                                      study.distances):
+            _write_csv(out / ("paths_%s_%d.csv" % (kind, n_seg)),
                        _path_header(drift.dim),
                        _path_rows(level.path.grid.times, level.path.states))
-            conv_rows.append(",".join([kind, str(level.n_segments),
+            conv_rows.append(",".join([kind, str(n_seg),
                                        "" if dist is None else _fmt(dist),
-                                       _fmt(level.merit)]))
-        cold = study.cold_check
+                                       _fmt(level.merit.value)]))
+        cold = study.cold
         summary["kinds"][kind] = {
             "statuses": [lv.status for lv in study.levels],
             "iterations": [lv.iterations for lv in study.levels],
             "evaluations": [lv.evaluations for lv in study.levels],
             "runtime_s": elapsed,
-            "cold_start": None if cold is None else {
+            "cold_start": {
                 "status": cold.status,
                 "iterations": cold.iterations,
                 "evaluations": cold.evaluations,
-                "merit_gap": cold.merit_gap,
-                "sup_distance": cold.sup_distance,
+                "merit_gap": study.cold_merit_gap,
+                "sup_distance": study.cold_sup_distance,
             },
         }
     _write_csv(out / "convergence.csv",

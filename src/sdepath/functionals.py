@@ -95,14 +95,14 @@ def _residual_curvature(delta: np.ndarray, q: np.ndarray, left: np.ndarray,
     return diag, w * (right_t @ q_left)
 
 
-def _with_density(value: float, grad: np.ndarray, curvature, path: DiscretePath,
-                  init: InitialDensity, measurements: Measurements) -> MeritValue:
-    """Add the initial-density and measurement terms to a path merit."""
+def _with_density(base: MeritValue, path: DiscretePath, init: InitialDensity,
+                  measurements: Measurements) -> MeritValue:
+    """Add the initial-density and measurement terms to a density-free merit."""
     extra, egrad, ecurv = measurements.log_density(path, init)
     if egrad is None:
         return MeritValue(value=-math.inf, gradient=None)
-    diag, lower = curvature
-    return MeritValue(value=value + extra, gradient=grad + egrad,
+    diag, lower = base.curvature
+    return MeritValue(value=base.value + extra, gradient=base.gradient + egrad,
                       curvature=(diag + ecurv, lower))
 
 
@@ -145,12 +145,20 @@ def euler_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusion,
 
     The refinement limit of its maximisers is the minimum-energy path.
     """
-    base = euler_energy(path, drift, diffusion)
-    return _with_density(base.value, base.gradient, base.curvature, path, init,
+    return _with_density(euler_energy(path, drift, diffusion), path, init,
                          measurements)
 
 
-def _trapezoidal_parts(path: DiscretePath, drift: DriftModel, diffusion: Diffusion):
+def trapezoidal_om(path: DiscretePath, drift: DriftModel,
+                   diffusion: Diffusion) -> MeritValue:
+    """Trapezoidal-scheme Onsager-Machlup value of a discrete path.
+
+    Per segment: the log-determinant of I - (delta/2) * jac at the right
+    endpoint, minus delta/2 times the squared weighted norm of the increment
+    rate minus the endpoint-averaged drift.  Determinants are evaluated by LU
+    factorisation with sign tracking; a non-positive factor raises
+    MeshTooCoarseError.
+    """
     x = _states(path)
     t = path.grid.times
     delta = path.grid.deltas
@@ -183,20 +191,6 @@ def _trapezoidal_parts(path: DiscretePath, drift: DriftModel, diffusion: Diffusi
     eye = np.eye(n) / delta[:, None, None]
     curvature = _residual_curvature(delta, q, -(eye + 0.5 * jac_all[:-1]),
                                     eye - 0.5 * jac_all[1:])
-    return value, grad, curvature
-
-
-def trapezoidal_om(path: DiscretePath, drift: DriftModel,
-                   diffusion: Diffusion) -> MeritValue:
-    """Trapezoidal-scheme Onsager-Machlup value of a discrete path.
-
-    Per segment: the log-determinant of I - (delta/2) * jac at the right
-    endpoint, minus delta/2 times the squared weighted norm of the increment
-    rate minus the endpoint-averaged drift.  Determinants are evaluated by LU
-    factorisation with sign tracking; a non-positive factor raises
-    MeshTooCoarseError.
-    """
-    value, grad, curvature = _trapezoidal_parts(path, drift, diffusion)
     return MeritValue(value=value, gradient=grad, curvature=curvature)
 
 
@@ -207,8 +201,8 @@ def trapezoidal_merit(path: DiscretePath, drift: DriftModel, diffusion: Diffusio
 
     The refinement limit of its maximisers is the MAP state path.
     """
-    value, grad, curvature = _trapezoidal_parts(path, drift, diffusion)
-    return _with_density(value, grad, curvature, path, init, measurements)
+    return _with_density(trapezoidal_om(path, drift, diffusion), path, init,
+                         measurements)
 
 
 def _segment_nodes(path: DiscretePath, rule: QuadratureRule):
@@ -316,4 +310,6 @@ def benes_exact_merit(path: DiscretePath, init: InitialDensity,
     diag[1:, 0, 0] += 1.0 / delta
     diag[0, 0, 0] += 1.0 - th[0] * th[0]
     lower = (-1.0 / delta)[:, None, None]
-    return _with_density(value, grad, (diag, lower), path, init, measurements)
+    return _with_density(MeritValue(value=value, gradient=grad,
+                                    curvature=(diag, lower)),
+                         path, init, measurements)

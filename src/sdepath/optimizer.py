@@ -21,15 +21,17 @@ leave the finite region when started inside it.
 `convergence_study` solves the same estimation problem on a nested family
 of uniform grids, warm-starting each level from the previous maximiser, and
 reports the sup-distance of every level's maximiser to the finest one.  A
-cold start at the finest level guards against the warm start tracking a
-secondary mode.
+cold start at the finest level, which always runs, guards against the warm
+start tracking a secondary mode.  The study returns the `OptimizationResult`
+of every solve as `maximize` gave it, so a field added to that record reaches
+every caller without being copied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -278,34 +280,23 @@ class StudyProblem:
 
 
 @dataclass(frozen=True)
-class StudyLevel:
-    n_segments: int
-    path: DiscretePath
-    merit: float
-    grad_norm: float
-    iterations: int
-    evaluations: int
-    status: str
-
-
-@dataclass(frozen=True)
-class ColdStartCheck:
-    """Cold-start solve at the finest level, for mode-switch detection."""
-
-    merit: float
-    merit_gap: float          # warm merit minus cold merit
-    sup_distance: float       # between warm and cold maximisers
-    status: str
-    iterations: int
-    evaluations: int
-
-
-@dataclass(frozen=True)
 class ConvergenceStudy:
-    kind: str
-    levels: tuple
+    """The solves of one study: `levels` coarse to fine, then `cold`, the
+    cold-start solve on the finest grid."""
+
+    levels: tuple             # OptimizationResult per level
     distances: tuple          # sup-distance to finest maximiser; None for finest
-    cold_check: Optional[ColdStartCheck]
+    cold: OptimizationResult
+
+    @property
+    def cold_merit_gap(self) -> float:
+        """Finest warm-started merit minus the cold-start merit."""
+        return self.levels[-1].merit.value - self.cold.merit.value
+
+    @property
+    def cold_sup_distance(self) -> float:
+        """Sup-distance between the finest warm and cold maximisers."""
+        return sup_distance(self.cold.path, self.levels[-1].path)
 
 
 def sup_distance(path_a: DiscretePath, path_b: DiscretePath) -> float:
@@ -323,13 +314,14 @@ def _upsample(path: DiscretePath, grid: TimeGrid) -> DiscretePath:
 def convergence_study(problem: StudyProblem, kind: str,
                       n_levels: Sequence[int],
                       options: OptimizerOptions = OptimizerOptions(),
-                      init_strategy: str = "meas_interp",
-                      cold_check: bool = True) -> ConvergenceStudy:
+                      init_strategy: str = "meas_interp") -> ConvergenceStudy:
     """Solve one problem on nested uniform grids of increasing resolution.
 
     n_levels must be increasing with each entry dividing the next, so the
     grids are nested.  Level 0 starts from `init_strategy`; later levels
-    warm-start from the previous maximiser, linearly upsampled.
+    warm-start from the previous maximiser, linearly upsampled.  A last,
+    cold solve always runs on the finest grid from `init_strategy`.  The
+    study keeps the `OptimizationResult` of every solve, in solve order.
     """
     n_levels = [int(n) for n in n_levels]
     if not n_levels:
@@ -340,40 +332,18 @@ def convergence_study(problem: StudyProblem, kind: str,
                 "levels must increase and divide each other, got %d -> %d"
                 % (a, b))
     objective_for = problem.objective(kind)
-    dim = problem.drift.dim
+
+    def start_on(grid: TimeGrid) -> DiscretePath:
+        return initial_path(grid, problem.init, problem.measurements,
+                            strategy=init_strategy, dim=problem.drift.dim)
+
     levels = []
-    start = None
     for n_seg in n_levels:
         grid = problem.grid(n_seg)
-        if start is None:
-            start_path = initial_path(grid, problem.init, problem.measurements,
-                                      strategy=init_strategy, dim=dim)
-        else:
-            start_path = _upsample(start, grid)
-        res = maximize(objective_for, start_path, options)
-        levels.append(StudyLevel(n_segments=n_seg, path=res.path,
-                                 merit=res.merit.value, grad_norm=res.grad_norm,
-                                 iterations=res.iterations,
-                                 evaluations=res.evaluations,
-                                 status=res.status))
-        start = res.path
+        start = _upsample(levels[-1].path, grid) if levels else start_on(grid)
+        levels.append(maximize(objective_for, start, options))
 
     finest = levels[-1].path
     distances = tuple(sup_distance(lev.path, finest) for lev in levels[:-1]) + (None,)
-
-    check = None
-    if cold_check:
-        grid = finest.grid
-        cold_start = initial_path(grid, problem.init, problem.measurements,
-                                  strategy=init_strategy, dim=dim)
-        cold = maximize(objective_for, cold_start, options)
-        check = ColdStartCheck(
-            merit=cold.merit.value,
-            merit_gap=levels[-1].merit - cold.merit.value,
-            sup_distance=sup_distance(cold.path, finest),
-            status=cold.status,
-            iterations=cold.iterations,
-            evaluations=cold.evaluations,
-        )
-    return ConvergenceStudy(kind=kind, levels=tuple(levels),
-                            distances=distances, cold_check=check)
+    cold = maximize(objective_for, start_on(finest.grid), options)
+    return ConvergenceStudy(levels=tuple(levels), distances=distances, cold=cold)

@@ -188,8 +188,12 @@ def _benes_normalisation_error(starts=(-2.0, -0.5, 0.0, 1.0, 3.0),
 
 def _benes_euler_samples(n_samples: int, step: float, delta: float,
                          x_from: float, seed: int) -> np.ndarray:
-    """Simulate the tanh-drift model over [0, delta] for many samples at once."""
+    """Simulate the tanh-drift model over [0, delta] for many samples at once.
+
+    Raises ValueError unless `step` divides `delta`."""
     n_steps = int(round(delta / step))
+    if n_steps < 1 or abs(n_steps * step - delta) > 1e-9 * delta:
+        raise ValueError("step %r does not divide delta %r" % (step, delta))
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     x = np.full(n_samples, float(x_from))
     sqh = math.sqrt(step)

@@ -333,6 +333,21 @@ class TestBenesConvergenceCommand:
         assert cold["evaluations"] >= cold["iterations"] + 1
         assert_no_temp_residue(out)
 
+    def test_off_grid_measurement_keeps_level_names(self, tmp_path):
+        # the measurement instant 4.3 is inserted into every level's grid,
+        # so the grids have one segment more than their level
+        cfg = write_config(tmp_path, {
+            "levels": [4, 8], "kinds": ["euler"],
+            "measurement": {"time": 4.3, "value": 1.5, "variance": 0.16}})
+        out = tmp_path / "out"
+        assert cli.main(["benes-convergence", "--config", cfg,
+                         "--out", str(out)]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["4", "8"]
+        lines = (out / "paths_euler_4.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6
+        assert (out / "paths_euler_8.csv").exists()
+
     def test_two_kinds_two_levels_bitwise_rerun(self, tmp_path):
         cfg = write_config(tmp_path, {"levels": [8, 16],
                                       "kinds": ["euler", "trapezoidal"]})

@@ -499,6 +499,25 @@ class TestGaussNewtonCurvature:
         assert mv.value == -math.inf and mv.curvature is None
 
 
+class TestMeritComposition:
+    @pytest.mark.parametrize("merit, base", [
+        (fn.euler_merit, fn.euler_energy),
+        (fn.trapezoidal_merit, fn.trapezoidal_om)])
+    def test_merit_is_base_plus_log_density_exactly(self, merit, base):
+        drift, diffusion, init = builtin_model("vdp")
+        grid = make_uniform_grid(2.0, 40, meas_times=[0.5, 1.0, 1.5])
+        meas = Measurements([0.5, 1.0, 1.5], [3.0, -0.4, 0.9], "student_t",
+                            0.5)
+        path = random_path(grid, 2, seed=6)
+        mv = merit(path, drift, diffusion, init, meas)
+        b = base(path, drift, diffusion)
+        extra, egrad, ecurv = meas.log_density(path, init)
+        assert mv.value == b.value + extra
+        np.testing.assert_array_equal(mv.gradient, b.gradient + egrad)
+        np.testing.assert_array_equal(mv.curvature[0], b.curvature[0] + ecurv)
+        np.testing.assert_array_equal(mv.curvature[1], b.curvature[1])
+
+
 class TestArgmaxAgreementUnderConstantDivergence:
     def test_maximizers_approach_each_other(self):
         # For the linear model the two continuous merits differ by a path

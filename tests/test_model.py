@@ -1,5 +1,6 @@
 """Grids, builtin models, diffusion weights, and the model self-check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -278,6 +279,23 @@ class TestValidateModel:
         report = validate_model(broken)
         assert not report.passed
         assert report.max_jac_rel_error > 1e-3
+
+    def test_wrong_batch_jacobian_is_caught(self):
+        # the merits call jac_rows, which uses jac_batch when it is given
+        base, _, _ = builtin_model("vdp")
+        broken = dataclasses.replace(
+            base, jac_batch=lambda ts, xs: 0.5 * base.jac_batch(ts, xs))
+        report = validate_model(broken)
+        assert not report.passed
+        assert report.max_jac_rel_error > 1e-3
+
+    def test_wrong_batch_divergence_is_caught(self):
+        base, _, _ = builtin_model("vdp")
+        broken = dataclasses.replace(
+            base, div_batch=lambda ts, xs: base.div_batch(ts, xs) + 1.0)
+        report = validate_model(broken)
+        assert not report.passed
+        assert report.max_div_error == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDensitiesAndMeasurements:

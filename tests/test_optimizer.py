@@ -16,7 +16,7 @@ from sdepath.model import (
     make_uniform_grid,
 )
 from sdepath.optimizer import (
-    ColdStartCheck,
+    OptimizationResult,
     OptimizerOptions,
     StudyProblem,
     _solve_block_tridiagonal,
@@ -430,7 +430,8 @@ class TestConvergenceStudy:
         study = convergence_study(prob, "euler", [8, 16, 32, 64],
                                   OptimizerOptions(grad_tol=1e-8,
                                                    max_iter=3000))
-        assert [lv.n_segments for lv in study.levels] == [8, 16, 32, 64]
+        assert ([lv.path.grid.n_segments for lv in study.levels]
+                == [8, 16, 32, 64])
         assert all(lv.status == "converged" for lv in study.levels)
         ds = study.distances
         assert ds[-1] is None
@@ -441,16 +442,40 @@ class TestConvergenceStudy:
         study = convergence_study(prob, "trapezoidal", [8, 32],
                                   OptimizerOptions(grad_tol=1e-8,
                                                    max_iter=3000))
-        check = study.cold_check
-        assert isinstance(check, ColdStartCheck)
+        assert isinstance(study.cold, OptimizationResult)
+        assert study.cold.status == "converged"
+        assert study.cold.path.grid.n_segments == 32
         # warm starting must not lose merit against a cold solve
-        assert check.merit_gap >= -1e-6
-        assert check.sup_distance <= 1e-4
-        study2 = convergence_study(prob, "trapezoidal", [8, 32],
-                                   OptimizerOptions(grad_tol=1e-8,
-                                                    max_iter=3000),
-                                   cold_check=False)
-        assert study2.cold_check is None
+        assert study.cold_merit_gap == (study.levels[-1].merit.value
+                                        - study.cold.merit.value)
+        assert study.cold_merit_gap >= -1e-6
+        assert study.cold_sup_distance <= 1e-4
+
+    def test_solve_order(self, monkeypatch):
+        # levels coarse to fine, each warm-started from the last maximiser,
+        # then the cold solve on the finest grid
+        prob = self.make_problem()
+        starts, results = [], []
+        solve = optimizer.maximize
+
+        def recorder(objective, start, options=OptimizerOptions()):
+            starts.append(start)
+            results.append(solve(objective, start, options))
+            return results[-1]
+
+        monkeypatch.setattr(optimizer, "maximize", recorder)
+        study = convergence_study(prob, "euler", [8, 32],
+                                  init_strategy="prior_mean")
+        assert [s.grid.n_segments for s in starts] == [8, 32, 32]
+        assert study.levels == tuple(results[:2])
+        assert study.cold is results[2]
+        for start in (starts[0], starts[2]):
+            np.testing.assert_array_equal(
+                start.states,
+                initial_path(start.grid, prob.init, prob.measurements,
+                             strategy="prior_mean").states)
+        np.testing.assert_array_equal(
+            starts[1].states, results[0].path.interp(starts[1].grid.times))
 
     def test_non_nested_levels_rejected(self):
         prob = self.make_problem()
@@ -469,9 +494,9 @@ class TestConvergenceStudy:
     def test_deterministic(self):
         prob = self.make_problem()
         opts = OptimizerOptions(grad_tol=1e-8, max_iter=3000)
-        a = convergence_study(prob, "euler", [8, 32], opts, cold_check=False)
-        b = convergence_study(prob, "euler", [8, 32], opts, cold_check=False)
-        for la, lb in zip(a.levels, b.levels):
+        a = convergence_study(prob, "euler", [8, 32], opts)
+        b = convergence_study(prob, "euler", [8, 32], opts)
+        for la, lb in zip(a.levels + (a.cold,), b.levels + (b.cold,)):
             np.testing.assert_array_equal(la.path.states, lb.path.states)
             assert la.iterations == lb.iterations
 
@@ -485,9 +510,9 @@ class TestMinimumEnergyLimit:
         meas = Measurements([5.0], [1.5], "gaussian", 0.16)
         prob = StudyProblem(drift, diffusion, init, meas, horizon=5.0)
         opts = OptimizerOptions(grad_tol=1e-6, max_iter=5000)
-        study = convergence_study(prob, "euler", [64, 256, 1024], opts,
-                                  cold_check=False)
-        assert all(lv.status == "converged" for lv in study.levels)
+        study = convergence_study(prob, "euler", [64, 256, 1024], opts)
+        assert all(lv.status == "converged"
+                   for lv in study.levels + (study.cold,))
         assert study.distances[0] > study.distances[1] > 0.0
 
         finest = study.levels[-1].path

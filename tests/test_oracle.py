@@ -16,6 +16,7 @@ from sdepath.oracle import (
     fd_gradient,
     quadrature_refine_check,
     rts_smoother,
+    validate_benes_transition,
 )
 
 
@@ -150,6 +151,11 @@ class TestBenesTransition:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             benes_exact_log_transition(0.0, 1.0, 0.0)
+
+    def test_step_must_divide_interval(self):
+        # 0.3 steps end at t = 0.9, not at the compared t = 1.0
+        with pytest.raises(ValueError, match="does not divide"):
+            validate_benes_transition(n_samples=100, step=0.3, delta=1.0)
 
     def test_sampled_distribution_agrees(self, benes_validation_report):
         report, _ = benes_validation_report
