@@ -664,8 +664,10 @@ def run_validate(config: SimpleNamespace) -> int:
         drift, _, _ = builtin_model(name)
         report = validate_model(drift, seed=config.seed)
         checks.append(("model:%s" % name, report.passed,
-                       "div err %.2e, jac rel err %.2e"
-                       % (report.max_div_error, report.max_jac_rel_error)))
+                       "div err %.2e, jac rel err %.2e, jdc rel err %.2e, "
+                       "f != f_rows at %d points"
+                       % (report.max_div_error, report.max_jac_rel_error,
+                          report.max_jdc_rel_error, report.f_mismatches)))
 
     for gname, err, passed in oracle.gradient_suite(25, config.seed):
         checks.append(("gradient:%s" % gname, passed,

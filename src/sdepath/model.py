@@ -10,9 +10,10 @@ This module defines the containers for all of these, the uniform grid
 constructor, the one lookup that places an instant on a grid
 (`TimeGrid.index_of`), the one count of the steps that make up a horizon
 (`uniform_steps`), the built-in example models and a self-check routine
-that compares the analytic Jacobian and divergence of a drift model against
-finite differences.  Nested grids are uniform grids at multiples of one
-segment count, matched through `index_of`.  Measurements are one array
+that compares the analytic Jacobian, divergence and Jacobian-derivative
+contraction of a drift model against finite differences, and its point
+drift against its row drift.  Nested grids are uniform grids at multiples
+of one segment count, matched through `index_of`.  Measurements are one array
 bundle, `Measurements`, with two noise laws: additive Gaussian noise and
 the heavy-tailed Student-t score of the robustness experiment.
 """
@@ -368,19 +369,20 @@ class DriftModel:
     """Drift f(t, x) with its Jacobian and divergence.
 
     All callbacks take a scalar time and a state vector of length `dim`.
-    `f(t, x)` takes any length-`dim` sequence of floats (a lone simulated
-    path passes a list) and returns a length-`dim` sequence; for any row it
-    must return exactly what `f_rows` returns, or a lone path would differ
-    from the same row stepped in a batch.  The builtin models return tuples
-    of Python floats, the fastest form for that path.
+    `f(t, x)` takes any length-`dim` sequence of floats (the order-1.5
+    simulator passes a tuple) and returns a length-`dim` sequence; for any
+    row it must return exactly what `f_rows` returns, because the simulator
+    steps through `f` and the merits evaluate `f_rows`.  The builtin models
+    return tuples of Python floats, the fastest form for the simulator.
     `jac_deriv_contract(t, x, w)` returns the vector whose p-th entry is
     sum_ab w[a,b] * d(jac[a,b])/dx[p]; it feeds the gradient of log-det
     terms in the trapezoidal merit.  When absent, a central finite
     difference of `jac` (step 1e-6, scaled) stands in.
 
     The *_rows variants evaluate on row-stacked inputs and exist so merit
-    evaluations and the integrators, which step many paths as rows, stay
-    vectorised; the defaults just loop over the scalar callbacks.
+    evaluations and the Euler-Maruyama integrator, which steps many paths
+    as rows, stay vectorised; the defaults just loop over the scalar
+    callbacks.
     """
 
     dim: int
@@ -590,6 +592,8 @@ class ValidationReport:
 
     max_div_error: float
     max_jac_rel_error: float
+    max_jdc_rel_error: float
+    f_mismatches: int
     div_tol: float
     jac_tol: float
     n_samples: int
@@ -597,34 +601,60 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return (self.max_div_error <= self.div_tol
-                and self.max_jac_rel_error <= self.jac_tol)
+                and self.max_jac_rel_error <= self.jac_tol
+                and self.max_jdc_rel_error <= self.jac_tol
+                and self.f_mismatches == 0)
 
 
 def validate_model(drift: DriftModel, n_samples: int = 100, seed: int = 0,
                    t_max: float = 10.0, x_scale: float = 2.0,
                    div_tol: float = 1e-10, jac_tol: float = 1e-5) -> ValidationReport:
-    """Check divergence against the Jacobian trace and the Jacobian against
-    central finite differences of f, over sampled (t, x) points.
+    """Check a drift model's callbacks against each other over sampled
+    (t, x) points.
 
-    The checked callbacks are `div_rows`, `jac_rows` and `f_rows`, called on
-    one row at a time: those are what the merits and the integrators call.
+    The divergence is checked against the Jacobian trace, the Jacobian
+    against central finite differences of f, and the contraction `jdc_rows`
+    with a sampled w against central differences of the Jacobian (both
+    relative errors against `jac_tol`).  The checked callbacks are
+    `div_rows`, `jac_rows`, `jdc_rows` and `f_rows`, called on one row at a
+    time: those are what the merits call.  `f` must equal `f_rows` with ==
+    at every point, because the simulator steps through `f`;
+    `f_mismatches` counts the points where it does not.
     """
     rng = np.random.default_rng(seed)
+    # w comes from its own stream, so the (t, x) draws are those of a check
+    # without it
+    w_rng = np.random.default_rng([seed, 1])
     max_div = 0.0
     max_jac = 0.0
+    max_jdc = 0.0
+    f_mismatches = 0
     for _ in range(n_samples):
         t = rng.uniform(0.0, t_max, size=1)
         x = rng.uniform(-x_scale, x_scale, size=(1, drift.dim))
+        w = w_rng.uniform(-1.0, 1.0, size=(1, drift.dim, drift.dim))
         j = drift.jac_rows(t, x)[0]
         max_div = max(max_div, abs(float(drift.div_rows(t, x)[0])
                                    - float(np.trace(j))))
         j_fd = np.empty_like(j)
+        c_fd = np.empty(drift.dim)
         for p in range(drift.dim):
             h = np.zeros_like(x)
             h[0, p] = 1e-6 * max(1.0, abs(float(x[0, p])))
             j_fd[:, p] = ((drift.f_rows(t, x + h) - drift.f_rows(t, x - h))[0]
                           / (2.0 * h[0, p]))
+            dj = (drift.jac_rows(t, x + h) - drift.jac_rows(t, x - h))[0]
+            c_fd[p] = float(np.sum(w[0] * dj)) / (2.0 * h[0, p])
         denom = max(1.0, float(np.abs(j_fd).max()))
         max_jac = max(max_jac, float(np.abs(j - j_fd).max()) / denom)
+        c = drift.jdc_rows(t, x, w)[0]
+        denom = max(1.0, float(np.abs(c_fd).max()))
+        max_jdc = max(max_jdc, float(np.abs(c - c_fd).max()) / denom)
+        f_point = drift.f(float(t[0]), tuple(x[0].tolist()))
+        if not np.array_equal(np.asarray(f_point, dtype=float),
+                              drift.f_rows(t, x)[0]):
+            f_mismatches += 1
     return ValidationReport(max_div_error=max_div, max_jac_rel_error=max_jac,
-                            div_tol=div_tol, jac_tol=jac_tol, n_samples=n_samples)
+                            max_jdc_rel_error=max_jdc,
+                            f_mismatches=f_mismatches, div_tol=div_tol,
+                            jac_tol=jac_tol, n_samples=n_samples)

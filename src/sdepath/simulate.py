@@ -9,13 +9,15 @@ them with the exact joint covariance
 Both integrators step R paths at once as the rows of an (R, n) state.
 Row r draws all its increments from its own generator before the first
 step, exactly as a lone path would, so its path is bit for bit the same
-whatever rows share its batch.  The drift is evaluated through
-`DriftModel.f_rows`: once per Euler step, twice per order-1.5 step (at the
-rows, then at all their supporting points).  A lone order-1.5 path (one
-row) is instead stepped as Python floats through the point drift
-`DriftModel.f`, 1 + 2m calls per step, with the same operations in the
-same order: on a few numbers, numpy's per-call dispatch costs more than
-the arithmetic.  A row whose state stops being finite fails alone, and the
+whatever rows share its batch.  Euler-Maruyama evaluates the drift through
+`DriftModel.f_rows`, once per step for all rows.  The order-1.5 scheme
+steps each row in turn as Python floats through the point drift
+`DriftModel.f`, 1 + 2n calls per step, in straight-line code generated
+once per state dimension n: on a few numbers, numpy's per-call dispatch
+costs more than the arithmetic.  That code does the operations of the
+numpy row step `order15_step` in the same order, so both give the same
+states bit for bit.  A row whose state stops being finite, or whose drift
+call raises an ArithmeticError such as OverflowError, fails alone, and the
 other rows carry on.  Buffers take about 1.5 MB per order-1.5 row at
 32 000 steps of a 2-D model, so callers with many paths step them in
 blocks.
@@ -34,9 +36,9 @@ results depend only on the bit stream, not on numpy's ziggurat tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Optional
 
 import numpy as np
@@ -218,47 +220,82 @@ def _order15_advance(f_rows, t: float, x: np.ndarray, step: float,
     return x + step * (0.5 * f0 + det_sum / (4.0 * m)) + gdw + dz_term
 
 
-# steps of a lone path whose noise is turned into Python floats at once:
-# one conversion of all 256 000 steps of a long path would hold about
-# 100 MB of float objects
-_LONE_BLOCK = 4096
+# steps of a row whose noise is turned into Python floats at once: one
+# conversion of all 256 000 steps of a long path would hold about 100 MB of
+# float objects, and blocks of 1 024 steps ran slower and left about 0.2 MB
+# more peak memory on six vdp rows than blocks of 256
+_KERNEL_BLOCK = 256
 
 
-def _lone_order15_path(f, x, step: float, shifts: np.ndarray,
-                       gdw: np.ndarray, dzs: np.ndarray,
-                       out: np.ndarray) -> None:
-    """The order-1.5 path of one row as Python floats, through the point
-    drift f: the operations of `_order15_advance` in the same order, so the
-    same states bit for bit.  x is the initial state as a list; shifts
-    (2m, n), gdw (n_steps, n) and dzs (n_steps, m) hold the row's entries
-    of the arrays `_order15_advance` takes; out (n_steps, n) receives the
-    states after each step."""
-    shifts = shifts.tolist()
-    m = len(shifts) // 2
-    m4 = 4.0 * m
-    for first in range(0, out.shape[0], _LONE_BLOCK):
-        last = min(first + _LONE_BLOCK, out.shape[0])
+@functools.lru_cache(maxsize=None)
+def _order15_kernel(n: int):
+    """The order-1.5 steps of one row of an n-dimensional model with square
+    G, as straight-line code on Python floats through the point drift f.
+
+    It does the operations of `_order15_advance` in the same order, so it
+    gives the same states bit for bit: b = x + f0*h, the support points
+    b + shifts[j], det = (p0 + m0) + (p1 + m1) + ..., dz = (p0 - m0)*z0
+    + ..., and x + h*(0.5*f0 + det/(4n)) + G dW + dz, where pj and mj are
+    the drift at b + shifts[j] and b + shifts[n + j].  The returned
+    function kernel(f, x, k, step, shifts, gdw, dzs, out) steps the state
+    x (n floats) from step k over the rows of gdw (G dW) and dzs
+    (dZ / (2 sqrt(n*h))), appends each new state to out as a tuple, and
+    returns the last one; shifts holds the 2n x n entries of
+    `_support_shifts` row by row."""
+    idx = range(n)
+    xs = ", ".join("x%d" % i for i in idx)
+    lines = [
+        "def kernel(f, x, k, step, shifts, gdw, dzs, out):",
+        "    %s, = x" % xs,
+        "    %s, = shifts" % ", ".join("s%d_%d" % (j, i)
+                                        for j in range(2 * n) for i in idx),
+        "    append = out.append",
+        "    m4 = %r" % (4.0 * n),
+        "    for (%s,), (%s,) in zip(gdw, dzs):" % (
+            ", ".join("g%d" % i for i in idx),
+            ", ".join("z%d" % j for j in idx)),
+        "        t = k * step",
+        "        %s, = f(t, x)" % ", ".join("a%d" % i for i in idx),
+    ]
+    lines += ["        b%d = x%d + a%d * step" % (i, i, i) for i in idx]
+    lines.append("        t = t + step")
+    for j in range(2 * n):
+        name = "p%d" % j if j < n else "m%d" % (j - n)
+        lines.append("        %s, = f(t, (%s,))" % (
+            ", ".join("%s_%d" % (name, i) for i in idx),
+            ", ".join("b%d + s%d_%d" % (i, j, i) for i in idx)))
+    for i in idx:
+        det = " + ".join("(p%d_%d + m%d_%d)" % (j, i, j, i) for j in idx)
+        dz = " + ".join("(p%d_%d - m%d_%d) * z%d" % (j, i, j, i, j)
+                        for j in idx)
+        lines.append("        x%d = x%d + step * (0.5 * a%d + (%s) / m4) "
+                     "+ g%d + (%s)" % (i, i, i, det, i, dz))
+    lines += ["        x = (%s,)" % xs,
+              "        append(x)",
+              "        k += 1",
+              "    return x"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
+def _order15_row(kernel, f, x: tuple, step: float, shifts: list,
+                 gdw: np.ndarray, dzs: np.ndarray, out: np.ndarray) -> None:
+    """Step one row from the state x through `kernel` in blocks of
+    `_KERNEL_BLOCK` steps; out (n_steps, n) receives the states after each
+    step.  A drift call that raises an ArithmeticError makes the row
+    non-finite from that step on."""
+    for first in range(0, out.shape[0], _KERNEL_BLOCK):
+        last = first + _KERNEL_BLOCK
         block = []
-        for k, (gdw_k, dzs_k) in enumerate(zip(gdw[first:last].tolist(),
-                                               dzs[first:last].tolist()),
-                                           first):
-            t = k * step
-            f0 = f(t, x)
-            base = [xi + fi * step for xi, fi in zip(x, f0)]
-            t = t + step
-            # map(add, ...) costs less than a comprehension on a few entries
-            fs = [f(t, list(map(add, base, sh))) for sh in shifts]
-            fp, fm, dz = fs[0], fs[m], dzs_k[0]
-            det_sum = list(map(add, fp, fm))
-            dz_term = [(a - b) * dz for a, b in zip(fp, fm)]
-            for j in range(1, m):
-                fp, fm, dz = fs[j], fs[m + j], dzs_k[j]
-                det_sum = [d + (a + b) for d, a, b in zip(det_sum, fp, fm)]
-                dz_term = [d + (a - b) * dz
-                           for d, a, b in zip(dz_term, fp, fm)]
-            x = [xi + step * (0.5 * fi + di / m4) + gi + zi
-                 for xi, fi, di, gi, zi in zip(x, f0, det_sum, gdw_k, dz_term)]
-            block.append(x)
+        try:
+            x = kernel(f, x, first, step, shifts, gdw[first:last].tolist(),
+                       dzs[first:last].tolist(), block)
+        except ArithmeticError:
+            if block:
+                out[first:first + len(block)] = block
+            out[first + len(block):] = math.nan
+            return
         out[first:last] = block
 
 
@@ -269,37 +306,34 @@ def strong_order_15(drift: DriftModel, diffusion: Diffusion, x0,
     Rows, generators and the return value are as in `euler_maruyama`.  Row
     r draws its whole (n_steps, m) `wiener_pair` from rngs[r] before any
     step, as a lone path would, and a row's path does not depend on the
-    other rows.  A single row is stepped through `drift.f` (see the module
-    docstring), more rows through `drift.f_rows`."""
+    other rows.  Each row is stepped alone by `_order15_kernel`, through
+    `drift.f` (see the module docstring); a drift call that raises an
+    ArithmeticError makes the row non-finite from that step on."""
     n_steps = uniform_steps(horizon, step)
     x0 = _check_rows(x0, rngs)
     g = diffusion.g
-    m = g.shape[1]
-    offset = math.sqrt(m * step)
-    gdw = np.empty((n_steps,) + x0.shape)
-    dzs = np.empty((n_steps, m, x0.shape[0], 1))
+    rows, n = x0.shape
+    if g.shape[0] != n:
+        raise ValueError("initial states have %d components for a %d x %d "
+                         "diffusion matrix" % ((n,) + g.shape))
+    offset = math.sqrt(n * step)
+    gdw = np.empty((rows, n_steps, n))
+    dzs = np.empty((rows, n_steps, n))
     for r, rng in enumerate(rngs):
-        dw, dz = wiener_pair(rng, step, (n_steps, m))
-        gdw[:, r] = _g_dw(g, dw)
-        dzs[:, :, r, 0] = dz / (2.0 * offset)
+        dw, dz = wiener_pair(rng, step, (n_steps, n))
+        gdw[r] = _g_dw(g, dw)
+        dzs[r] = dz / (2.0 * offset)
         del dw, dz                # before the next row's draw
-    shifts = _support_shifts(g, offset)
-    states = np.empty((n_steps + 1,) + x0.shape)
-    states[0] = x = x0
+    shifts = _support_shifts(g, offset).ravel().tolist()
+    kernel = _order15_kernel(n)
+    states = np.empty((rows, n_steps + 1, n))
+    states[:, 0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        if x0.shape[0] == 1:
-            _lone_order15_path(drift.f, x0[0].tolist(), step, shifts[:, 0],
-                               gdw[:, 0], dzs[:, :, 0, 0], states[1:, 0])
-        else:
-            f_rows = drift.f_rows
-            ts = np.empty(x0.shape[0])
-            ts_support = np.empty(2 * m * x0.shape[0])
-            for k in range(n_steps):
-                states[k + 1] = x = _order15_advance(
-                    f_rows, k * step, x, step, shifts, gdw[k], dzs[k], ts,
-                    ts_support)
+        for r in range(rows):
+            _order15_row(kernel, drift.f, tuple(x0[r].tolist()), step,
+                         shifts, gdw[r], dzs[r], states[r, 1:])
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return times, states.swapaxes(0, 1), _row_failures(states, step)
+    return times, states, _row_failures(states.swapaxes(0, 1), step)
 
 
 @dataclass(frozen=True)

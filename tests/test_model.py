@@ -237,12 +237,12 @@ class TestBuiltinModels:
         ts = rng.uniform(0.0, 5.0, size=20)
         xs = rng.normal(size=(20, drift.dim))
         ws = rng.normal(size=(20, drift.dim, drift.dim))
-        # exact: a lone simulated row steps through f, a batch through f_rows
+        # exact: the simulator steps through f, the merits through f_rows
         f_loop = np.stack([drift.f(t, x) for t, x in zip(ts, xs)])
         assert np.array_equal(drift.f_rows(ts, xs), f_loop)
-        # the lone row passes lists of floats and gets floats back
+        # the simulator passes tuples of floats and gets floats back
         for t, x, fx in zip(ts.tolist(), xs.tolist(), f_loop):
-            out = drift.f(t, x)
+            out = drift.f(t, tuple(x))
             assert all(type(v) is float for v in out)
             assert np.array_equal(out, fx)
         j_loop = np.stack([drift.jac(t, x) for t, x in zip(ts, xs)])
@@ -255,13 +255,44 @@ class TestBuiltinModels:
 
 
 class TestValidateModel:
-    @pytest.mark.parametrize("name", ["benes", "vdp"])
+    @pytest.mark.parametrize("name", ["benes", "vdp", "ou"])
     def test_builtins_pass(self, name):
         drift, _, _ = builtin_model(name)
         report = validate_model(drift)
         assert report.passed
         assert report.max_div_error <= 1e-12
         assert report.max_jac_rel_error <= 1e-6
+        assert report.max_jdc_rel_error <= 1e-6
+        assert report.f_mismatches == 0
+
+    def test_scaled_point_drift_is_caught(self):
+        # the simulator steps through f, the merits through f_rows
+        base, _, _ = builtin_model("vdp")
+        broken = dataclasses.replace(
+            base, f=lambda t, x: tuple(1.5 * v for v in base.f(t, x)))
+        report = validate_model(broken)
+        assert not report.passed
+        assert report.f_mismatches == report.n_samples
+        assert report.max_jac_rel_error <= 1e-6
+
+    def test_wrong_batch_jdc_is_caught(self):
+        # the trapezoidal gradient calls jdc_rows
+        base, _, _ = builtin_model("vdp")
+        broken = dataclasses.replace(
+            base, jac_deriv_contract_batch=lambda ts, xs, ws:
+            0.5 * base.jac_deriv_contract_batch(ts, xs, ws))
+        report = validate_model(broken)
+        assert not report.passed
+        assert report.max_jdc_rel_error == pytest.approx(0.5, abs=1e-6)
+        assert report.max_jac_rel_error <= 1e-6
+
+    def test_jdc_fallback_passes(self):
+        # without a jdc callback, a central difference of jac stands in
+        base, _, _ = builtin_model("vdp")
+        user = DriftModel(dim=2, f=base.f, jac=base.jac, div=base.div)
+        report = validate_model(user)
+        assert report.passed
+        assert report.max_jdc_rel_error <= 1e-6
 
     def test_wrong_divergence_is_caught(self):
         base, _, _ = builtin_model("benes")

@@ -1,5 +1,6 @@
 """Sample-path generation, the noise source, and measurement sampling."""
 
+import dataclasses
 import math
 import re
 
@@ -308,8 +309,7 @@ class TestRowStepping:
 
 
 class TestLoneRow:
-    """One order-1.5 row steps as floats through f, and gives the path it
-    has as a row of a batch stepped through f_rows."""
+    """A lone order-1.5 row gives the path it has as a row of a batch."""
 
     @staticmethod
     def paths(drift, diffusion, x0, seed, rows, step=1e-3, horizon=2.0):
@@ -354,10 +354,119 @@ class TestLoneRow:
         _, lone, _ = self.paths(user, diffusion, x0, 3, 1)
         assert np.array_equal(lone, ref)
 
-    @pytest.mark.parametrize("rows, f_per_step, f_rows_per_step",
-                             [(1, 5, 0), (3, 0, 2)])
-    def test_drift_calls_per_step(self, monkeypatch, rows, f_per_step,
-                                  f_rows_per_step):
+
+def coupled_drift(n):
+    """An n-dimensional drift that couples every component to the next two
+    and to time; f and f_batch round alike, entry by entry."""
+    def f(t, x):
+        return tuple(-x[i] + 0.5 * x[(i + 1) % n] * x[(i + 2) % n] + 0.25 * t
+                     for i in range(n))
+
+    def f_batch(ts, xs):
+        return np.stack([-xs[:, i] + 0.5 * xs[:, (i + 1) % n]
+                         * xs[:, (i + 2) % n] + 0.25 * ts
+                         for i in range(n)], axis=1)
+
+    return DriftModel(dim=n, f=f, jac=lambda t, x: np.zeros((n, n)),
+                      div=lambda t, x: 0.0, f_batch=f_batch)
+
+
+FULL_G = {1: [[0.7]],
+          2: [[0.3, 0.1], [-0.2, 0.5]],
+          3: [[0.3, 0.1, -0.05], [-0.2, 0.5, 0.1], [0.05, 0.2, 0.4]]}
+
+
+def order15_step_paths(drift, diffusion, x0, rngs, step, horizon):
+    """The rows of x0 stepped together by the numpy row step
+    `order15_step`, with the noise `strong_order_15` draws for them."""
+    n_steps = int(round(horizon / step))
+    noise = [wiener_pair(rng, step, (n_steps, diffusion.g.shape[1]))
+             for rng in rngs]
+    dw = np.stack([d for d, _ in noise])
+    dz = np.stack([z for _, z in noise])
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for k in range(n_steps):
+        x = order15_step(drift, diffusion, k * step, x, step, dw[:, k],
+                         dz[:, k])
+        states.append(x)
+    return np.stack(states, axis=1)
+
+
+class TestOrder15Kernel:
+    """Every order-1.5 row, alone or in a batch, steps as Python floats
+    through f in the generated straight-line kernel, and gives the states
+    of the numpy row step bit for bit."""
+
+    @staticmethod
+    def run(drift, diffusion, x0, seed, step=0.01, horizon=2.0):
+        rngs = [RngStream(seed, r).generator() for r in range(len(x0))]
+        return strong_order_15(drift, diffusion, x0, step, horizon, rngs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_order15_step_with_full_g(self, n):
+        drift, diffusion = coupled_drift(n), Diffusion.from_matrix(FULL_G[n])
+        x0 = polar_normal(RngStream(4, 99).generator(), (3, n))
+        times, states, failed = self.run(drift, diffusion, x0, 4)
+        assert not failed
+        assert states.shape == (3, 201, n)
+        ref = order15_step_paths(drift, diffusion, x0,
+                                 [RngStream(4, r).generator()
+                                  for r in range(3)], 0.01, 2.0)
+        assert np.array_equal(states, ref)
+
+    def test_float64_drift_gives_same_path(self):
+        base, diffusion, init = builtin_model("vdp")
+
+        def f(t, x):
+            u, v = np.float64(x[0]), np.float64(x[1])
+            return (v, -u + 2.0 * (1.0 - u * u) * v)
+
+        user = dataclasses.replace(base, f=f)
+        assert type(f(0.0, (0.1, 0.2))[1]) is np.float64
+        x0 = np.stack([init.sample(RngStream(6, r).generator())
+                       for r in range(2)])
+        _, states, failed = self.run(user, diffusion, x0, 6)
+        assert not failed
+        _, ref, _ = self.run(base, diffusion, x0, 6)
+        assert np.array_equal(states, ref)
+        assert np.array_equal(states, order15_step_paths(
+            base, diffusion, x0, [RngStream(6, r).generator()
+                                  for r in range(2)], 0.01, 2.0))
+
+    @pytest.mark.parametrize("x0", [[[0.1], [2.0], [0.2]], [[2.0]]])
+    def test_python_overflow_fails_its_row_alone(self, x0):
+        # float ** 3 raises OverflowError where numpy's power gives inf: the
+        # row fails at the step the numpy drift turns it non-finite, and the
+        # other rows step on
+        floats = DriftModel(dim=1, f=lambda t, x: (float(x[0]) ** 3,),
+                            jac=lambda t, x: np.zeros((1, 1)),
+                            div=lambda t, x: 0.0)
+        numpy = block_drift(lambda x: x**3, 1)
+        diffusion = Diffusion.from_matrix([[1e-8]])
+        _, states, failed = self.run(floats, diffusion, x0, 5, 0.1, 10.0)
+        _, ref, ref_failed = self.run(numpy, diffusion, x0, 5, 0.1, 10.0)
+        bad = [r for r, x in enumerate(x0) if x == [2.0]]
+        assert sorted(failed) == sorted(ref_failed) == bad
+        for r in range(len(x0)):
+            if r in failed:
+                assert isinstance(failed[r], SimulationError)
+                assert str(failed[r]) == str(ref_failed[r])
+                assert re.fullmatch(r"state became non-finite at step \d+ "
+                                    r"\(t=[0-9.e+-]+\)", str(failed[r]))
+            else:
+                assert np.array_equal(states[r], order15_step_paths(
+                    floats, diffusion, [x0[r]], [RngStream(5, r).generator()],
+                    0.1, 10.0)[0])
+
+    def test_state_dimension_must_match_g(self):
+        drift = coupled_drift(2)
+        with pytest.raises(ValueError, match="2 components for a 1 x 1"):
+            self.run(drift, Diffusion.from_matrix([[1.0]]), [[0.0, 0.0]], 1)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_drift_calls_per_step(self, monkeypatch, rows):
+        # 1 + 2n calls of f per row and step, none of f_rows
         base, diffusion, init = builtin_model("vdp")
         calls = {"f": 0, "f_rows": 0}
 
@@ -374,9 +483,8 @@ class TestLoneRow:
         monkeypatch.setattr(DriftModel, "f_rows", f_rows)
         drift = DriftModel(dim=2, f=f, jac=base.jac, div=base.div,
                            f_batch=base.f_batch)
-        self.paths(drift, diffusion, [0.1, 0.0], 1, rows, 0.01, 1.0)
-        assert calls == {"f": 100 * f_per_step,
-                         "f_rows": 100 * f_rows_per_step}
+        self.run(drift, diffusion, [[0.1, 0.0]] * rows, 1, 0.01, 1.0)
+        assert calls == {"f": 100 * 5 * rows, "f_rows": 0}
 
 
 def scalar_self_coupled_rmse(drift, diffusion, x0, horizon, steps,
